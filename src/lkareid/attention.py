@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import singledispatch
 
 import numpy as np
 
@@ -86,27 +87,17 @@ def decompose_large_kernel(kernel, dilation, channels=1):
     is a K x K depthwise conv followed by the same 1x1 channel mixing, so
     all three variants produce a channel-mixed output.
     """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
-    if not 1 <= dilation <= kernel:
-        raise ValueError(f"dilation must be in [1, {kernel}], got {dilation}")
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
-    c = channels
-    dw = 2 * dilation - 1
-    dd = math.ceil(kernel / dilation)
-    rf = (dd - 1) * dilation + dw
+    cfg = LkaConfig(channels, kernel, dilation)
+    c, dw, dd = channels, cfg.dw_kernel, cfg.dd_kernel
     params_dec = c * dw * dw + c * dd * dd + c * c
-    params_dw_full = c * kernel * kernel + c * c
-    params_full = c * c * kernel * kernel
     return Decomposition(
         dw_kernel=dw,
         dd_kernel=dd,
         dilation=dilation,
-        receptive_field=rf,
+        receptive_field=(dd - 1) * dilation + dw,
         params_decomposed=params_dec,
-        params_depthwise_full=params_dw_full,
-        params_full_conv=params_full,
+        params_depthwise_full=c * kernel * kernel + c * c,
+        params_full_conv=c * c * kernel * kernel,
         flops_per_position=2 * params_dec,
     )
 
@@ -136,21 +127,35 @@ def eca_kernel_size(channels, gamma=2.0, b=2.0):
 _UNIFORM, _ZEROS = "uniform", "zeros"
 
 
+def _same_padding(kernel, dilation):
+    span = dilation * (kernel - 1)
+    return ((span // 2, span - span // 2),) * 2 if span % 2 else span // 2
+
+
+def lka_convs(cfg):
+    """(name, Conv2dSpec) for the five convolutions of one LKA block, in
+    creation order: proj_in, dw, dd, attn, proj_out."""
+    c = cfg.channels
+    pw = Conv2dSpec(c, c, (1, 1))
+    dw = Conv2dSpec(c, c, (cfg.dw_kernel,) * 2, padding=_same_padding(cfg.dw_kernel, 1), groups=c)
+    dd = Conv2dSpec(
+        c, c, (cfg.dd_kernel,) * 2,
+        padding=_same_padding(cfg.dd_kernel, cfg.dilation), dilation=cfg.dilation, groups=c,
+    )
+    return [("proj_in", pw), ("dw", dw), ("dd", dd), ("attn", pw), ("proj_out", pw)]
+
+
+def _weight_bias(weight_shape):
+    """(suffix, shape, init) for a weight and the bias of its output rows."""
+    return [("weight", tuple(weight_shape), _UNIFORM), ("bias", (weight_shape[0],), _ZEROS)]
+
+
 def lka_param_shapes(cfg):
     """(name, shape, init) for one LKA block, in creation order."""
-    c = cfg.channels
-    dw, dd = cfg.dw_kernel, cfg.dd_kernel
     return [
-        ("proj_in.weight", (c, c, 1, 1), _UNIFORM),
-        ("proj_in.bias", (c,), _ZEROS),
-        ("dw.weight", (c, 1, dw, dw), _UNIFORM),
-        ("dw.bias", (c,), _ZEROS),
-        ("dd.weight", (c, 1, dd, dd), _UNIFORM),
-        ("dd.bias", (c,), _ZEROS),
-        ("attn.weight", (c, c, 1, 1), _UNIFORM),
-        ("attn.bias", (c,), _ZEROS),
-        ("proj_out.weight", (c, c, 1, 1), _UNIFORM),
-        ("proj_out.bias", (c,), _ZEROS),
+        (f"{name}.{suffix}", shape, init)
+        for name, spec in lka_convs(cfg)
+        for suffix, shape, init in _weight_bias(spec.weight_shape())
     ]
 
 
@@ -179,11 +184,6 @@ def init_params(shapes, rng, dtype=np.float64):
     return params
 
 
-def _same_padding(kernel, dilation):
-    span = dilation * (kernel - 1)
-    return ((span // 2, span - span // 2),) * 2 if span % 2 else span // 2
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -194,22 +194,15 @@ def lka_forward(x, params, cfg):
     c = cfg.channels
     if x.shape[1] != c:
         raise ValueError(f"input has {x.shape[1]} channels, config wants {c}")
-    pw = Conv2dSpec(c, c, (1, 1))
-    dw_spec = Conv2dSpec(
-        c, c, (cfg.dw_kernel, cfg.dw_kernel),
-        padding=_same_padding(cfg.dw_kernel, 1), groups=c,
-    )
-    dd_spec = Conv2dSpec(
-        c, c, (cfg.dd_kernel, cfg.dd_kernel),
-        padding=_same_padding(cfg.dd_kernel, cfg.dilation),
-        dilation=cfg.dilation, groups=c,
-    )
-    f1 = T.conv2d(T.gelu(x), params["proj_in.weight"], params["proj_in.bias"], pw)
-    a = T.conv2d(f1, params["dw.weight"], params["dw.bias"], dw_spec)
-    a = T.conv2d(a, params["dd.weight"], params["dd.bias"], dd_spec)
-    a = T.conv2d(a, params["attn.weight"], params["attn.bias"], pw)
-    out = T.conv2d(T.mul(a, f1), params["proj_out.weight"], params["proj_out.bias"], pw)
-    return T.add(out, x)
+
+    def conv(z, layer):
+        name, spec = layer
+        return T.conv2d(z, params[f"{name}.weight"], params[f"{name}.bias"], spec)
+
+    proj_in, dw, dd, attn, proj_out = lka_convs(cfg)
+    f1 = conv(T.gelu(x), proj_in)
+    a = conv(conv(conv(f1, dw), dd), attn)
+    return T.add(conv(T.mul(a, f1), proj_out), x)
 
 
 def hca_attention_map(x, params, cfg):
@@ -265,13 +258,7 @@ def lka_params_flops(cfg, input_shape):
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")
     params = sum(int(np.prod(s)) for _, s, _ in lka_param_shapes(cfg))
-    pw = Conv2dSpec(c, c, (1, 1))
-    dw_spec = Conv2dSpec(c, c, (cfg.dw_kernel,) * 2, padding=_same_padding(cfg.dw_kernel, 1), groups=c)
-    dd_spec = Conv2dSpec(
-        c, c, (cfg.dd_kernel,) * 2,
-        padding=_same_padding(cfg.dd_kernel, cfg.dilation), dilation=cfg.dilation, groups=c,
-    )
-    flops = 3 * _conv_flops(pw, h, w, n) + _conv_flops(dw_spec, h, w, n) + _conv_flops(dd_spec, h, w, n)
+    flops = sum(_conv_flops(spec, h, w, n) for _, spec in lka_convs(cfg))
     # gelu, gate multiply, residual add: one flop per element each
     flops += 3 * n * c * h * w
     return params, flops
@@ -292,14 +279,12 @@ def hca_params_flops(cfg, input_shape):
     return params, flops
 
 
+@singledispatch
 def count_params_flops(cfg, input_shape):
-    """Dispatch cost accounting over block and model configs."""
-    if isinstance(cfg, LkaConfig):
-        return lka_params_flops(cfg, input_shape)
-    if isinstance(cfg, HcaConfig):
-        return hca_params_flops(cfg, input_shape)
-    from .model import ModelConfig, model_params_flops
-
-    if isinstance(cfg, ModelConfig):
-        return model_params_flops(cfg, input_shape)
+    """Dispatch cost accounting over block and model configs (the model
+    registers its own config type)."""
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
+
+
+count_params_flops.register(LkaConfig, lka_params_flops)
+count_params_flops.register(HcaConfig, hca_params_flops)

@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as T
 from .attention import (
+    _ZEROS,
     HcaConfig,
     LkaConfig,
+    _conv_flops,
+    _weight_bias,
+    count_params_flops,
     hca_forward,
     hca_param_shapes,
+    init_params,
     lka_forward,
     lka_param_shapes,
-    lka_params_flops,
-    hca_params_flops,
 )
 from .tensor import Conv2dSpec, Tensor
 
@@ -98,67 +101,112 @@ class BranchOutput:
 
 
 # ---------------------------------------------------------------------------
-# parameter layout
-
-_UNIFORM, _ZEROS = "uniform", "zeros"
+# layer plan
 
 
-def _stem_shapes(cfg, prefix):
-    shapes = []
-    c_in = 3
-    for i, width in enumerate(cfg.stem_widths):
-        shapes.append((f"{prefix}.{i}.weight", (width, c_in, 3, 3), _UNIFORM))
-        shapes.append((f"{prefix}.{i}.bias", (width,), _ZEROS))
-        c_in = width
-    return shapes
+@dataclass(frozen=True)
+class Layer:
+    """One step of the network.  `op` says what it computes from `spec`:
+
+    conv    convolution by a Conv2dSpec, then GELU
+    lka     large-kernel attention block (LkaConfig)
+    hca     hybrid channel attention block (HcaConfig)
+    gap     global average pool to (B, C); no spec, no parameters
+    linear  x @ weight.T + bias, spec the (out, in) weight shape
+    table   the metadata embedding tables, looked up by forward_train
+
+    Its parameters are `{name}.{suffix}` for each (suffix, shape, init) of
+    `params`.
+    """
+
+    op: str
+    name: str
+    spec: object = None
+    params: tuple = ()
+
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """The whole network as ordered layers; parameters are created in the
+    order `layers()` yields them."""
+
+    stems: tuple  # (stem name, conv layers): one shared, or one per branch
+    branches: tuple  # (branch, stem name, layers) in BRANCHES order
+    heads: tuple  # (branch, linear layer) for the classification branches
+    meta: Layer
+
+    def layers(self):
+        for _, layers in self.stems:
+            yield from layers
+        for _, _, layers in self.branches:
+            yield from layers
+        for _, head in self.heads:
+            yield head
+        yield self.meta
+
+
+def _conv(name, spec):
+    return Layer("conv", name, spec, tuple(_weight_bias(spec.weight_shape())))
+
+
+def _linear(name, out_features, in_features):
+    shape = (out_features, in_features)
+    return Layer("linear", name, shape, tuple(_weight_bias(shape)))
+
+
+@lru_cache(maxsize=8)
+def layer_plan(cfg):
+    """Build the topology once from the config: a strided-conv stem; per
+    branch the trunk blocks (3x3 conv, then LKA or HCA attention when
+    enabled), GAP and the projection; identity heads on L1/H1; and the
+    metadata tables, which always exist (zero-init) and are used only when
+    enabled."""
+    c = cfg.branch_channels
+    widths = (3,) + cfg.stem_widths
+    stem_of = {br: "stem" if cfg.share_stem else f"stem_{br}" for br in BRANCHES}
+    stems = tuple(
+        (stem, tuple(
+            _conv(f"{stem}.{i}", Conv2dSpec(widths[i], widths[i + 1], (3, 3), stride=2, padding=1))
+            for i in range(len(cfg.stem_widths))
+        ))
+        for stem in dict.fromkeys(stem_of.values())
+    )
+    trunk = Conv2dSpec(c, c, (3, 3), stride=1, padding=1)
+    lka_cfg, hca_cfg = cfg.lka_config(), cfg.hca_config()
+    lka = ("lka", lka_cfg, tuple(lka_param_shapes(lka_cfg)))
+    hca = ("hca", hca_cfg, tuple(hca_param_shapes(hca_cfg)))
+    branches = []
+    for br in BRANCHES:
+        op, attn_cfg, attn_params = lka if br in _LKA_BRANCHES else hca
+        layers = []
+        for blk in range(cfg.blocks_per_branch):
+            base = f"branch_{br}.block{blk}"
+            layers.append(_conv(f"{base}.conv", trunk))
+            if cfg.attention_enabled:
+                layers.append(Layer(op, f"{base}.attn", attn_cfg, attn_params))
+        layers += [Layer("gap", f"branch_{br}.gap"), _linear(f"branch_{br}.proj", cfg.feature_dim, c)]
+        branches.append((br, stem_of[br], tuple(layers)))
+    heads = tuple((br, _linear(f"head_{br}", cfg.num_identities, cfg.feature_dim)) for br in _CLS_BRANCHES)
+    meta = Layer("table", "meta", None, (
+        ("camera", (cfg.num_cameras, cfg.feature_dim), _ZEROS),
+        ("view", (cfg.num_views, cfg.feature_dim), _ZEROS),
+    ))
+    return LayerPlan(stems, tuple(branches), heads, meta)
 
 
 def parameter_shapes(cfg):
     """Every parameter of the model, in creation order: (name, shape, init)."""
-    shapes = []
-    if cfg.share_stem:
-        shapes += _stem_shapes(cfg, "stem")
-    else:
-        for br in BRANCHES:
-            shapes += _stem_shapes(cfg, f"stem_{br}")
-    c = cfg.branch_channels
-    for br in BRANCHES:
-        block_shapes = (
-            lka_param_shapes(cfg.lka_config())
-            if br in _LKA_BRANCHES
-            else hca_param_shapes(cfg.hca_config())
-        )
-        for blk in range(cfg.blocks_per_branch):
-            base = f"branch_{br}.block{blk}"
-            shapes.append((f"{base}.conv.weight", (c, c, 3, 3), _UNIFORM))
-            shapes.append((f"{base}.conv.bias", (c,), _ZEROS))
-            if cfg.attention_enabled:
-                for name, shape, kind in block_shapes:
-                    shapes.append((f"{base}.attn.{name}", shape, kind))
-        shapes.append((f"branch_{br}.proj.weight", (cfg.feature_dim, c), _UNIFORM))
-        shapes.append((f"branch_{br}.proj.bias", (cfg.feature_dim,), _ZEROS))
-    for br in _CLS_BRANCHES:
-        shapes.append((f"head_{br}.weight", (cfg.num_identities, cfg.feature_dim), _UNIFORM))
-        shapes.append((f"head_{br}.bias", (cfg.num_identities,), _ZEROS))
-    # metadata tables always exist (zero-init), used only when enabled
-    shapes.append(("meta.camera", (cfg.num_cameras, cfg.feature_dim), _ZEROS))
-    shapes.append(("meta.view", (cfg.num_views, cfg.feature_dim), _ZEROS))
-    return shapes
+    return [
+        (f"{layer.name}.{suffix}", shape, init)
+        for layer in layer_plan(cfg).layers()
+        for suffix, shape, init in layer.params
+    ]
 
 
 def build_model(cfg, seed, dtype=np.float32):
     """Deterministic init: LeCun-uniform weights (unit fan-in variance
     scaling), zero biases and embedding tables."""
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape, kind in parameter_shapes(cfg):
-        if kind == _ZEROS:
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
-            bound = math.sqrt(3.0 / fan_in)
-            data = rng.uniform(-bound, bound, shape).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True)
+    params = init_params(parameter_shapes(cfg), np.random.default_rng(seed), dtype=dtype)
     return ModelState(config=cfg, params=params)
 
 
@@ -166,42 +214,26 @@ def build_model(cfg, seed, dtype=np.float32):
 # forward
 
 
-def _run_stem(state, x, branch):
-    cfg = state.config
-    prefix = "stem" if cfg.share_stem else f"stem_{branch}"
-    c_in = 3
-    for i, width in enumerate(cfg.stem_widths):
-        spec = Conv2dSpec(c_in, width, (3, 3), stride=2, padding=1)
-        x = T.conv2d(x, state.params[f"{prefix}.{i}.weight"], state.params[f"{prefix}.{i}.bias"], spec)
-        x = T.gelu(x)
-        c_in = width
+def _layer_params(state, layer):
+    return {suffix: state.params[f"{layer.name}.{suffix}"] for suffix, _, _ in layer.params}
+
+
+def _run(state, layers, x):
+    """Apply layers in order.  The attention and conv functions are looked
+    up by module-level name on every call, so wrapping them takes effect."""
+    for layer in layers:
+        p = _layer_params(state, layer)
+        if layer.op == "conv":
+            x = T.gelu(T.conv2d(x, p["weight"], p["bias"], layer.spec))
+        elif layer.op == "lka":
+            x = lka_forward(x, p, layer.spec)
+        elif layer.op == "hca":
+            x = hca_forward(x, p, layer.spec)
+        elif layer.op == "gap":
+            x = T.reshape(T.adaptive_avg_pool(x, (1, 1)), (x.shape[0], x.shape[1]))
+        else:  # linear
+            x = T.add(T.matmul(x, T.transpose(p["weight"], (1, 0))), p["bias"])
     return x
-
-
-def _run_branch(state, x, branch):
-    """Trunk blocks, GAP, and the linear projection to the embedding."""
-    cfg = state.config
-    c = cfg.branch_channels
-    conv_spec = Conv2dSpec(c, c, (3, 3), stride=1, padding=1)
-    attn_cfg = cfg.lka_config() if branch in _LKA_BRANCHES else cfg.hca_config()
-    attn_fwd = lka_forward if branch in _LKA_BRANCHES else hca_forward
-    for blk in range(cfg.blocks_per_branch):
-        base = f"branch_{branch}.block{blk}"
-        x = T.conv2d(x, state.params[f"{base}.conv.weight"], state.params[f"{base}.conv.bias"], conv_spec)
-        x = T.gelu(x)
-        if cfg.attention_enabled:
-            attn_params = {
-                name: state.params[f"{base}.attn.{name}"]
-                for name, _, _ in (
-                    lka_param_shapes(attn_cfg) if branch in _LKA_BRANCHES else hca_param_shapes(attn_cfg)
-                )
-            }
-            x = attn_fwd(x, attn_params, attn_cfg)
-    pooled = T.adaptive_avg_pool(x, (1, 1))
-    flat = T.reshape(pooled, (x.shape[0], c))
-    w = state.params[f"branch_{branch}.proj.weight"]
-    b = state.params[f"branch_{branch}.proj.bias"]
-    return T.add(T.matmul(flat, T.transpose(w, (1, 0))), b)
 
 
 def _branch_embeddings(state, images):
@@ -210,10 +242,9 @@ def _branch_embeddings(state, images):
         raise ValueError("images must be (B, 3, H, W)")
     # center [0, 1] pixel intensities to [-1, 1]
     x = T.add(T.mul(x, 2.0), -1.0)
-    if state.config.share_stem:
-        shared = _run_stem(state, x, BRANCHES[0])
-        return {br: _run_branch(state, shared, br) for br in BRANCHES}
-    return {br: _run_branch(state, _run_stem(state, x, br), br) for br in BRANCHES}
+    plan = layer_plan(state.config)
+    stem_out = {stem: _run(state, layers, x) for stem, layers in plan.stems}
+    return {br: _run(state, layers, stem_out[stem]) for br, stem, layers in plan.branches}
 
 
 def forward_train(state, images, camera_ids, view_ids):
@@ -229,23 +260,22 @@ def forward_train(state, images, camera_ids, view_ids):
     if view_ids.size and view_ids.max() >= cfg.num_views:
         raise ValueError("view id out of range")
 
+    plan = layer_plan(cfg)
     embeddings = _branch_embeddings(state, images)
     meta = None
     if cfg.metadata_embeddings_enabled:
+        tables = _layer_params(state, plan.meta)
         meta = T.add(
-            T.gather_rows(state.params["meta.camera"], camera_ids),
-            T.gather_rows(state.params["meta.view"], view_ids),
+            T.gather_rows(tables["camera"], camera_ids),
+            T.gather_rows(tables["view"], view_ids),
         )
+    heads = dict(plan.heads)
     outputs = []
     for br in BRANCHES:
         emb = embeddings[br]
         if meta is not None:
             emb = T.add(emb, meta)
-        logits = None
-        if br in _CLS_BRANCHES:
-            w = state.params[f"head_{br}.weight"]
-            b = state.params[f"head_{br}.bias"]
-            logits = T.add(T.matmul(emb, T.transpose(w, (1, 0))), b)
+        logits = _run(state, (heads[br],), emb) if br in heads else None
         outputs.append(BranchOutput(branch=br, embedding=emb, logits=logits))
     return outputs
 
@@ -262,39 +292,45 @@ def extract_features(state, images):
 # cost accounting
 
 
+def _layers_flops(layers, shape):
+    """2*MAC FLOPs of running layers from an (N, C, H, W) input, and the
+    output shape; each conv adds one flop per output element for its GELU."""
+    flops = 0
+    for layer in layers:
+        n, c, h, w = shape
+        if layer.op == "conv":
+            oh, ow = layer.spec.out_size(h, w)
+            flops += _conv_flops(layer.spec, h, w, n) + layer.spec.out_channels * oh * ow * n
+            shape = (n, layer.spec.out_channels, oh, ow)
+        elif layer.op in ("lka", "hca"):
+            flops += count_params_flops(layer.spec, shape)[1]
+        elif layer.op == "gap":
+            flops += n * c * h * w
+            shape = (n, c, 1, 1)
+        else:  # linear
+            out_features, in_features = layer.spec
+            flops += 2 * out_features * in_features * n
+            shape = (n, out_features, 1, 1)
+    return flops, shape
+
+
+@count_params_flops.register(ModelConfig)
 def model_params_flops(cfg, input_shape):
     """Exact parameter count plus 2*MAC FLOPs for one forward pass."""
-    n, c_in, h, w = input_shape
-    if c_in != 3:
+    if input_shape[1] != 3:
         raise ValueError("model input must have 3 channels")
+    plan = layer_plan(cfg)
     params = sum(int(np.prod(s)) for _, s, _ in parameter_shapes(cfg))
-
-    def stem_flops():
-        flops, ci, hh, ww = 0, 3, h, w
-        for width in cfg.stem_widths:
-            spec = Conv2dSpec(ci, width, (3, 3), stride=2, padding=1)
-            oh, ow = spec.out_size(hh, ww)
-            flops += 2 * width * ci * 9 * oh * ow * n + width * oh * ow * n  # conv + gelu
-            ci, hh, ww = width, oh, ow
-        return flops, hh, ww
-
-    sflops, bh, bw = stem_flops()
-    flops = sflops * (1 if cfg.share_stem else 4)
-    c = cfg.branch_channels
-    for br in BRANCHES:
-        for _ in range(cfg.blocks_per_branch):
-            flops += 2 * c * c * 9 * bh * bw * n + c * bh * bw * n
-            if cfg.attention_enabled:
-                block_cost = (
-                    lka_params_flops(cfg.lka_config(), (n, c, bh, bw))
-                    if br in _LKA_BRANCHES
-                    else hca_params_flops(cfg.hca_config(), (n, c, bh, bw))
-                )
-                flops += block_cost[1]
-        flops += c * bh * bw * n  # GAP
-        flops += 2 * cfg.feature_dim * c * n  # projection
-        if br in _CLS_BRANCHES:
-            flops += 2 * cfg.num_identities * cfg.feature_dim * n
+    flops, stem_out = 0, {}
+    for stem, layers in plan.stems:
+        stem_flops, stem_out[stem] = _layers_flops(layers, input_shape)
+        flops += stem_flops
+    heads = dict(plan.heads)
+    for br, stem, layers in plan.branches:
+        branch_flops, emb_shape = _layers_flops(layers, stem_out[stem])
+        flops += branch_flops
+        if br in heads:
+            flops += _layers_flops((heads[br],), emb_shape)[0]
     return params, flops
 
 
@@ -308,10 +344,25 @@ def _config_to_json(cfg):
     return json.dumps(d, sort_keys=True)
 
 
-def _config_from_json(text):
-    d = json.loads(text)
-    d["stem_widths"] = tuple(d["stem_widths"])
-    return ModelConfig(**d)
+def _config_and_layout(raw):
+    """The ModelConfig of a config snapshot and its parameter layout.  The
+    snapshot must name every ModelConfig field and nothing else; any defect
+    is a CheckpointError."""
+    try:
+        d = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"config snapshot is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise CheckpointError("config snapshot is not a JSON object")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    missing, unknown = sorted(fields - d.keys()), sorted(d.keys() - fields)
+    if missing or unknown:
+        raise CheckpointError(f"config snapshot keys: missing {missing}, unknown {unknown}")
+    try:
+        cfg = ModelConfig(**{**d, "stem_widths": tuple(d["stem_widths"])})
+        return cfg, parameter_shapes(cfg)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid config snapshot: {exc}") from exc
 
 
 def save_checkpoint(state, path):
@@ -356,9 +407,8 @@ def load_checkpoint(path):
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg = _config_from_json(bytes(take(cfg_len, "config")).decode("utf-8"))
+    cfg, expected = _config_and_layout(bytes(take(cfg_len, "config")))
     (count,) = struct.unpack("<I", take(4, "tensor count"))
-    expected = parameter_shapes(cfg)
     if count != len(expected):
         raise CheckpointError(f"checkpoint lists {count} tensors, config expects {len(expected)}")
     params = {}

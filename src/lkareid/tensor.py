@@ -6,9 +6,8 @@ average pooling and its anti-pooling inverse, GELU, sigmoid, broadcasted
 add/multiply, matmul, reductions, and L2 normalization.
 
 Every forward op validates that finite inputs produce finite outputs.
-Verification paths run in float64; training runs in float32.  The
-convolution has a direct-loop reference path (`conv2d_reference`) and an
-im2col fast path that must agree within 1e-10 in float64.
+Verification paths run in float64; training runs in float32.  The slow
+reference for the im2col convolution is `tests/oracles.conv2d_oracle`.
 """
 from __future__ import annotations
 
@@ -82,10 +81,6 @@ class Conv2dSpec:
         if min(_as_pair(self.dilation)) < 1:
             raise ValueError("dilation must be >= 1")
 
-    @property
-    def is_depthwise(self):
-        return self.groups == self.in_channels == self.out_channels
-
     def weight_shape(self):
         kh, kw = _as_pair(self.kernel)
         return (self.out_channels, self.in_channels // self.groups, kh, kw)
@@ -133,9 +128,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -287,13 +279,6 @@ def tsum(x, axis=None, keepdims=False):
     return out
 
 
-def tmean(x, axis=None, keepdims=False):
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in ((axis,) if np.isscalar(axis) else axis)]
-    )
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
 def reshape(x, shape):
     out = _node(x.data.reshape(shape), [x], "reshape")
 
@@ -391,44 +376,6 @@ def l2_normalize(x, axis):
 # convolution
 
 
-def conv2d_reference(x, weight, bias, spec):
-    """Direct six-nested-loop convolution on raw arrays (the slow path).
-
-    The im2col fast path must match this within 1e-10 in float64.
-    """
-    n_batch, c_in, h, w = x.shape
-    if c_in != spec.in_channels:
-        raise ValueError(f"input has {c_in} channels, spec wants {spec.in_channels}")
-    if weight.shape != spec.weight_shape():
-        raise ValueError(f"weight shape {weight.shape} != {spec.weight_shape()}")
-    kh, kw = _as_pair(spec.kernel)
-    sh, sw = _as_pair(spec.stride)
-    dh, dw = _as_pair(spec.dilation)
-    (pt, _pb), (pl, _pr) = _as_padding(spec.padding)
-    oh, ow = spec.out_size(h, w)
-    icpg = spec.in_channels // spec.groups
-    ocpg = spec.out_channels // spec.groups
-    out = np.zeros((n_batch, spec.out_channels, oh, ow), dtype=x.dtype)
-    for n in range(n_batch):
-        for oc in range(spec.out_channels):
-            g = oc // ocpg
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = 0.0 if bias is None else bias[oc]
-                    for ic in range(icpg):
-                        c = g * icpg + ic
-                        for ky in range(kh):
-                            iy = oy * sh + ky * dh - pt
-                            if iy < 0 or iy >= h:
-                                continue
-                            for kx in range(kw):
-                                ix = ox * sw + kx * dw - pl
-                                if 0 <= ix < w:
-                                    acc += weight[oc, ic, ky, kx] * x[n, c, iy, ix]
-                    out[n, oc, oy, ox] = acc
-    return out
-
-
 def _im2col(x, spec, h, w):
     kh, kw = _as_pair(spec.kernel)
     sh, sw = _as_pair(spec.stride)
@@ -470,7 +417,7 @@ def _col2im(dcols, spec, x_shape, xp_shape, oh, ow):
     return dxp[:, :, pt : pt + h, pl : pl + w]
 
 
-def conv2d(x, weight, bias, spec, method="im2col"):
+def conv2d(x, weight, bias, spec):
     """2-d convolution over NCHW input, differentiable in x, weight, bias."""
     if x.data.ndim != 4:
         raise ValueError("conv2d expects NCHW input")
@@ -492,13 +439,9 @@ def conv2d(x, weight, bias, spec, method="im2col"):
     cols, (oh, ow, xp_shape) = _im2col(x.data, spec, h, w)
     colsg = cols.reshape(n, groups, icpg * kh * kw, oh * ow)
     wg = weight.data.reshape(groups, ocpg, icpg * kh * kw)
-    if method == "direct":
-        b_arr = None if bias is None else bias.data
-        out_data = conv2d_reference(x.data, weight.data, b_arr, spec)
-    else:
-        out_data = np.matmul(wg, colsg).reshape(n, spec.out_channels, oh, ow)
-        if bias is not None:
-            out_data = out_data + bias.data[None, :, None, None]
+    out_data = np.matmul(wg, colsg).reshape(n, spec.out_channels, oh, ow)
+    if bias is not None:
+        out_data = out_data + bias.data[None, :, None, None]
 
     parents = [x, weight] if bias is None else [x, weight, bias]
     out = _node(out_data, parents, "conv2d")

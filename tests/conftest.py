@@ -1,11 +1,23 @@
-"""Shared test plumbing: the acceptance scorecard.
+"""Shared test plumbing: the acceptance scorecard and checkpoint surgery.
 
 Acceptance tests record one verdict line each; the terminal-summary hook
 prints the full scorecard after capture ends so it always shows up in the
 run log.
 """
+import json
+import struct
 
 VERDICTS = []
+
+
+def rewrite_config_snapshot(path, edit):
+    """Apply edit to the config snapshot dict of the checkpoint at path."""
+    blob = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", blob[6:10])
+    snapshot = json.loads(blob[10 : 10 + cfg_len])
+    edit(snapshot)
+    raw = json.dumps(snapshot).encode("utf-8")
+    path.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + cfg_len :])
 
 
 def record_verdict(number, name, ok):

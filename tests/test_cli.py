@@ -8,6 +8,8 @@ import pytest
 from lkareid.cli import main, resolve_train_config
 from lkareid.model import load_checkpoint
 
+from conftest import rewrite_config_snapshot
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -219,3 +221,18 @@ def test_eval_with_checkpoint(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert 0.0 <= doc["mAP"] <= 1.0
+
+
+def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):
+    from lkareid.model import ModelConfig, build_model, save_checkpoint
+
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8), 0), ckpt)
+    rewrite_config_snapshot(ckpt, lambda d: d.pop("stem_widths"))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": "a.npy", "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, _, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1
+    assert "stem_widths" in err and "Traceback" not in err

@@ -1,8 +1,11 @@
 """Four-branch model: determinism, shapes, feature extraction, metadata
 handling, cost consistency, and checkpoint round trips."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from lkareid.attention import count_params_flops
 from lkareid.model import (
     CheckpointError,
     ModelConfig,
@@ -16,6 +19,8 @@ from lkareid.model import (
 )
 from lkareid.tensor import Tensor
 import lkareid.model as M
+
+from conftest import rewrite_config_snapshot
 
 
 def tiny_cfg(**kw):
@@ -256,3 +261,41 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+BAD_SNAPSHOTS = {
+    "missing_key": lambda d: d.pop("stem_widths"),
+    "unknown_key": lambda d: d.update(extra=1),
+    "wrong_type": lambda d: d.update(num_identities="4"),
+    "even_kernel": lambda d: d.update(lka_kernel=4),
+    "missing_default": lambda d: d.pop("hca_b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+def test_checkpoint_bad_config_snapshot(tmp_path, case):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(tiny_cfg(), 0), path)
+    rewrite_config_snapshot(path, BAD_SNAPSHOTS[case])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# layout golden values: tensor count, cost, and checkpoint digest at seed 0
+
+
+@pytest.mark.parametrize("cfg,shape,count,cost,digest", [
+    (ModelConfig(num_identities=16), (1, 3, 48, 48), 128, (590216, 41334912),
+     "db32db7de0c4ef350d3040d7d9cfff487445c4cf00b23366ccf256fb3be3fe71"),
+    (tiny_cfg(), (1, 3, 8, 8), 52, (1280, 31976),
+     "6e748c85b28d81db1754bd5e188370a4fe033081360455a93340322a70206b80"),
+    (tiny_cfg(share_stem=False, attention_enabled=False), (1, 3, 8, 8), 30, (1320, 33408),
+     "8eb6490d362efd5177c0d8d9cbf9151e62819af399b1a2bc2647ede445b3f1fb"),
+], ids=["desk", "tiny", "tiny_unshared_no_attention"])
+def test_layout_golden(tmp_path, cfg, shape, count, cost, digest):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(cfg, 0), path)
+    assert len(parameter_shapes(cfg)) == count
+    assert count_params_flops(cfg, shape) == cost
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
