@@ -22,6 +22,14 @@ class ManifestError(ValueError):
     """Malformed manifest file; message carries the offending line number."""
 
 
+def _id(name, value):
+    """A non-negative integer id; bools, floats and strings are rejected,
+    not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Sample:
     vehicle_id: int
@@ -31,8 +39,10 @@ class Sample:
     feature: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.vehicle_id < 0 or self.camera_id < 0:
-            raise ValueError("vehicle_id and camera_id must be non-negative")
+        self.vehicle_id = _id("vehicle_id", self.vehicle_id)
+        self.camera_id = _id("camera_id", self.camera_id)
+        if self.view_id is not None:
+            self.view_id = _id("view_id", self.view_id)
         if self.feature is not None:
             self.feature = np.asarray(self.feature, dtype=np.float64)
             if not np.all(np.isfinite(self.feature)):
@@ -105,7 +115,8 @@ def parse_veri_name(name):
 def load_manifest(path, split="gallery"):
     """Line-delimited JSON records with path|feature, vehicle_id,
     camera_id, and optional view_id; ids missing from a record are parsed
-    from a VeRi-style filename."""
+    from a VeRi-style filename.  Ids must be non-negative JSON integers
+    (view_id may also be null)."""
     samples = []
     seen_paths = set()
     feature_dim = None
@@ -125,15 +136,19 @@ def load_manifest(path, split="gallery"):
             if rec_path is None and feature is None:
                 raise ManifestError(f"{path}:{lineno}: record needs 'path' or 'feature'")
             if rec_path is not None:
+                if not isinstance(rec_path, str):
+                    raise ManifestError(f"{path}:{lineno}: path must be a string")
                 if rec_path in seen_paths:
                     raise ManifestError(f"{path}:{lineno}: duplicate path {rec_path!r}")
                 seen_paths.add(rec_path)
             try:
                 if "vehicle_id" in record and "camera_id" in record:
-                    vid, cam = int(record["vehicle_id"]), int(record["camera_id"])
+                    vid, cam = record["vehicle_id"], record["camera_id"]
+                elif rec_path is None:
+                    raise ValueError("a record without a path needs vehicle_id and camera_id")
                 else:
                     vid, cam = parse_veri_name(rec_path)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from exc
             if feature is not None:
                 feature = np.asarray(feature, dtype=np.float64)

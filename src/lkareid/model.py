@@ -8,9 +8,12 @@ fixed order L1 | L2 | H1 | H2 and L2-normalized per row.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -383,8 +386,19 @@ def save_checkpoint(state, path):
         for dim in tensor.data.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    # Write beside the target and rename over it, so a failed or interrupted
+    # save leaves any previous checkpoint whole.
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -414,7 +428,10 @@ def load_checkpoint(path):
     params = {}
     for exp_name, exp_shape, _ in expected:
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        try:
+            name = bytes(take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         shape = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(ndim))
         if name != exp_name or shape != tuple(exp_shape):

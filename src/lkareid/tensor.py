@@ -6,8 +6,15 @@ average pooling and its anti-pooling inverse, GELU, sigmoid, broadcasted
 add/multiply, matmul, reductions, and L2 normalization.
 
 Every forward op validates that finite inputs produce finite outputs.
-Verification paths run in float64; training runs in float32.  The slow
-reference for the im2col convolution is `tests/oracles.conv2d_oracle`.
+Verification paths run in float64; training runs in float32.
+
+`conv2d` moves data in kernel-tap slices of a channels-last padded input:
+dense and grouped convolutions fill their im2col columns from the slices
+and run one grouped GEMM; depthwise ones multiply-add the slices directly.
+Its float32 outputs and gradients equal those of the plain im2col/GEMM
+arithmetic in `tests/oracles.conv2d_gemm_oracle` bit for bit, which keeps
+training trajectories reproducible.  The slow mathematical reference is
+`tests/oracles.conv2d_oracle`.
 """
 from __future__ import annotations
 
@@ -376,49 +383,52 @@ def l2_normalize(x, axis):
 # convolution
 
 
-def _im2col(x, spec, h, w):
+def _tap_slices(spec, oh, ow):
+    """(row slice, column slice) of the padded input that each kernel tap
+    reads, in (ky, kx) order: kh*kw strided windows of oh x ow positions."""
     kh, kw = _as_pair(spec.kernel)
     sh, sw = _as_pair(spec.stride)
     dh, dw = _as_pair(spec.dilation)
+    return [
+        (
+            slice(ky * dh, ky * dh + sh * (oh - 1) + 1, sh),
+            slice(kx * dw, kx * dw + sw * (ow - 1) + 1, sw),
+        )
+        for ky in range(kh)
+        for kx in range(kw)
+    ]
+
+
+def _pad_channels_last(x, spec):
+    """Zero-padded (H + pt + pb, W + pl + pr, N, C) copy of NCHW `x`.  A tap
+    slice of it is a grid of contiguous N*C blocks."""
+    n, c, h, w = x.shape
     (pt, pb), (pl, pr) = _as_padding(spec.padding)
-    oh, ow = spec.out_size(h, w)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    i0 = np.repeat(np.arange(kh) * dh, kw)
-    j0 = np.tile(np.arange(kw) * dw, kh)
-    oi = np.repeat(np.arange(oh) * sh, ow)
-    oj = np.tile(np.arange(ow) * sw, oh)
-    idx_h = i0[:, None] + oi[None, :]
-    idx_w = j0[:, None] + oj[None, :]
-    cols = xp[:, :, idx_h, idx_w]  # (N, C, kh*kw, oh*ow)
-    return cols, (oh, ow, xp.shape)
+    xp = np.zeros((h + pt + pb, w + pl + pr, n, c), dtype=x.dtype)
+    xp[pt : pt + h, pl : pl + w] = x.transpose(2, 3, 0, 1)
+    return xp
 
 
-def _col2im(dcols, spec, x_shape, xp_shape, oh, ow):
-    """Scatter column gradients back to the input; inverse of _im2col.
+def _im2col(xp, taps):
+    """Columns (N, C, kh*kw, oh*ow) stored in memory as [tap][oh][ow][n][c].
 
-    For a fixed kernel tap the destination rows/cols form an arithmetic
-    progression, so the scatter is kh*kw strided slice-adds, no np.add.at.
+    The GEMMs below read them in exactly this layout, the one a fancy-indexed
+    gather produces; BLAS and numpy's own matmul loop pick their summation
+    order from the strides, so another layout would change the float bits.
     """
-    n, c, h, w = x_shape
-    kh, kw = _as_pair(spec.kernel)
-    sh, sw = _as_pair(spec.stride)
-    dh, dw = _as_pair(spec.dilation)
-    (pt, _pb), (pl, _pr) = _as_padding(spec.padding)
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
-    for ky in range(kh):
-        for kx in range(kw):
-            dxp[
-                :,
-                :,
-                ky * dh : ky * dh + sh * oh : sh,
-                kx * dw : kx * dw + sw * ow : sw,
-            ] += d6[:, :, ky, kx]
-    return dxp[:, :, pt : pt + h, pl : pl + w]
+    cols = np.stack([xp[tap] for tap in taps])  # (T, oh, ow, N, C)
+    t, oh, ow, n, c = cols.shape
+    return cols.reshape(t, oh * ow, n, c).transpose(2, 3, 0, 1)
 
 
 def conv2d(x, weight, bias, spec):
-    """2-d convolution over NCHW input, differentiable in x, weight, bias."""
+    """2-d convolution over NCHW input, differentiable in x, weight, bias.
+
+    Dense and grouped convolutions are an im2col GEMM; depthwise ones
+    (one input and one output channel per group) multiply-add the kh*kw
+    shifted input slices directly.  Both keep the float32 results of
+    `tests/oracles.conv2d_gemm_oracle` bit for bit.
+    """
     if x.data.ndim != 4:
         raise ValueError("conv2d expects NCHW input")
     n, c, h, w = x.shape
@@ -435,25 +445,58 @@ def conv2d(x, weight, bias, spec):
     groups = spec.groups
     icpg = spec.in_channels // groups
     ocpg = spec.out_channels // groups
-
-    cols, (oh, ow, xp_shape) = _im2col(x.data, spec, h, w)
-    colsg = cols.reshape(n, groups, icpg * kh * kw, oh * ow)
+    oh, ow = spec.out_size(h, w)
+    # Depthwise convs multiply-add tap slices, which repeats numpy's own
+    # matmul loop on their GEMM.  With one sample of one channel, or a 1x1
+    # output, numpy hands that GEMM to BLAS instead, so those stay GEMMs.
+    depthwise = icpg == ocpg == 1 and n * c > 1 and oh * ow > 1
+    taps = _tap_slices(spec, oh, ow)
+    xp = _pad_channels_last(x.data, spec)
+    pad_shape = xp.shape
     wg = weight.data.reshape(groups, ocpg, icpg * kh * kw)
-    out_data = np.matmul(wg, colsg).reshape(n, spec.out_channels, oh, ow)
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
+    wt = weight.data.reshape(-1, kh * kw)  # depthwise: one row of taps per channel
+
+    if depthwise:
+        # From zero, one product per tap added in tap order: the arithmetic
+        # of numpy's matmul loop on the strided depthwise GEMM.
+        acc = np.zeros((oh, ow, n, c), dtype=np.result_type(xp, wt))
+        for t, tap in enumerate(taps):
+            acc += xp[tap] * wt[:, t]
+        out_data = acc.transpose(2, 3, 0, 1)
+        colsg = None  # built from xp in the backward, for the weight gradient
+    else:
+        colsg = _im2col(xp, taps).reshape(n, groups, icpg * kh * kw, oh * ow)
+        out_data = np.matmul(wg, colsg).reshape(n, spec.out_channels, oh, ow)
+        xp = None  # the backward needs the columns, not the padded input
+    # Later reductions sum in memory order: the output is C-ordered NCHW
+    # whichever path made it.
+    if bias is None:
+        out_data = np.ascontiguousarray(out_data)
+    else:
+        out_data = np.add(out_data, bias.data[:, None, None], order="C")
 
     parents = [x, weight] if bias is None else [x, weight, bias]
     out = _node(out_data, parents, "conv2d")
 
     def _bw():
         doutg = out.grad.reshape(n, groups, ocpg, oh * ow)
-        dw = np.matmul(doutg, colsg.swapaxes(2, 3)).sum(axis=0)
-        _accum(weight, dw.reshape(weight.shape))
+        if weight.requires_grad:
+            cols = colsg if colsg is not None else _im2col(xp, taps).reshape(n, groups, kh * kw, oh * ow)
+            dw = np.matmul(doutg, cols.swapaxes(2, 3)).sum(axis=0)
+            _accum(weight, dw.reshape(weight.shape))
         if x.requires_grad:
-            dcols = np.matmul(wg.swapaxes(1, 2), doutg)
-            dcols = dcols.reshape(n, spec.in_channels, kh * kw, oh * ow)
-            _accum(x, _col2im(dcols, spec, x.shape, xp_shape, oh, ow))
+            # Scatter each tap's column gradient back in tap order.
+            if depthwise:
+                g = np.ascontiguousarray(out.grad.transpose(2, 3, 0, 1))
+                dtaps = (g * wt[:, t] for t in range(kh * kw))
+            else:
+                dcols = np.matmul(wg.swapaxes(1, 2), doutg)
+                dtaps = dcols.reshape(n, c, kh * kw, oh, ow).transpose(2, 3, 4, 0, 1)
+            dxp = np.zeros(pad_shape, dtype=np.result_type(wg, out.grad))
+            for tap, d in zip(taps, dtaps):
+                dxp[tap] += d
+            (pt, _pb), (pl, _pr) = _as_padding(spec.padding)
+            _accum(x, dxp[pt : pt + h, pl : pl + w].transpose(2, 3, 0, 1))
         if bias is not None:
             _accum(bias, out.grad.sum(axis=(0, 2, 3)))
 

@@ -199,6 +199,15 @@ def test_eval_empty_query_manifest(capsys, tmp_path):
     assert "error" in err
 
 
+def test_eval_float_vehicle_id_exits_1(capsys, tmp_path):
+    _, g_path = _write_feature_manifests(tmp_path)
+    q_path = tmp_path / "bad.jsonl"
+    q_path.write_text(json.dumps({"feature": [1.0] * 6, "vehicle_id": 3.7, "camera_id": 0}) + "\n")
+    code, _, err = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    assert code == 1
+    assert "vehicle_id" in err and "Traceback" not in err
+
+
 def test_eval_with_checkpoint(capsys, tmp_path):
     out_dir = tmp_path / "run"
     run_cli(capsys, *_fast_train_args(out_dir))

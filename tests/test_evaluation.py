@@ -81,6 +81,57 @@ def test_load_manifest_errors(tmp_path):
         load_manifest(mixed, split="query")
 
 
+BAD_IDS = {
+    "float_vehicle": {"vehicle_id": 3.7},
+    "integral_float_vehicle": {"vehicle_id": 3.0},
+    "bool_camera": {"camera_id": True},
+    "string_vehicle": {"vehicle_id": "3"},
+    "negative_camera": {"camera_id": -1},
+    "string_view": {"view_id": "left"},
+    "float_view": {"view_id": 1.5},
+    "bool_view": {"view_id": False},
+    "negative_view": {"view_id": -2},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+def test_load_manifest_rejects_non_integer_ids(tmp_path, case):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"path": "a.npy", "vehicle_id": 1, "camera_id": 0},
+        {"path": "b.npy", "vehicle_id": 3, "camera_id": 1, **BAD_IDS[case]},
+    ])
+    with pytest.raises(ManifestError, match=":2:"):
+        load_manifest(path, split="query")
+    with pytest.raises(ValueError):
+        Sample(**{"vehicle_id": 3, "camera_id": 1, **BAD_IDS[case]})
+
+
+@pytest.mark.parametrize("record", [
+    {"feature": [1.0, 0.0]},
+    {"feature": [1.0, 0.0], "vehicle_id": 1},
+    {"path": 5, "vehicle_id": 1, "camera_id": 0},
+    {"path": ["a.npy"], "vehicle_id": 1, "camera_id": 0},
+], ids=["no_ids_no_path", "one_id_no_path", "int_path", "list_path"])
+def test_load_manifest_rejects_records_without_usable_path(tmp_path, record):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [record])
+    with pytest.raises(ManifestError, match=":1:"):
+        load_manifest(path, split="query")
+
+
+def test_load_manifest_keeps_integer_ids(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"path": "a.npy", "vehicle_id": 0, "camera_id": 7, "view_id": None},
+        {"path": "b.npy", "vehicle_id": 12, "camera_id": 0, "view_id": 3},
+    ])
+    samples = load_manifest(path, split="query").samples
+    assert [(s.vehicle_id, s.camera_id, s.view_id) for s in samples] == [(0, 7, None), (12, 0, 3)]
+    assert all(type(v) is int for v in (samples[1].vehicle_id, samples[1].camera_id, samples[1].view_id))
+    assert Sample(np.int64(5), np.int32(2)).vehicle_id == 5
+
+
 # ---------------------------------------------------------------------------
 # cosine similarity
 

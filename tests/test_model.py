@@ -1,9 +1,12 @@
 """Four-branch model: determinism, shapes, feature extraction, metadata
 handling, cost consistency, and checkpoint round trips."""
+import errno
 import hashlib
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lkareid.attention import count_params_flops
 from lkareid.model import (
@@ -261,6 +264,72 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _small_checkpoint(path):
+    cfg = ModelConfig(num_identities=2, stem_widths=(2,), feature_dim=2, blocks_per_branch=1,
+                      attention_enabled=False)
+    save_checkpoint(build_model(cfg, 0), path)
+    return path.read_bytes()
+
+
+def test_checkpoint_every_truncation_is_checkpoint_error(tmp_path):
+    blob = _small_checkpoint(tmp_path / "m.lkar")
+    mutant = tmp_path / "cut.lkar"
+    for end in range(len(blob)):
+        mutant.write_bytes(blob[:end])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(mutant)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.lkar"
+    return _small_checkpoint(path), path.with_name("mutant.lkar")
+
+
+_FLIPS = {"zero": lambda b: 0x00, "ones": lambda b: 0xFF, "xor80": lambda b: b ^ 0x80}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), flip=st.sampled_from(sorted(_FLIPS)))
+def test_checkpoint_byte_flip_loads_or_is_checkpoint_error(small_checkpoint, data, flip):
+    blob, mutant = small_checkpoint
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    flipped = bytearray(blob)
+    flipped[pos] = _FLIPS[flip](blob[pos])
+    mutant.write_bytes(bytes(flipped))
+    try:
+        load_checkpoint(mutant)
+    except CheckpointError:
+        pass
+
+
+class _FullDisk(io.FileIO):
+    """A file whose write stops halfway with ENOSPC."""
+
+    def write(self, data):
+        super().write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, stage):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(tiny_cfg(), 0), path)
+    before = path.read_bytes()
+    if stage == "write":
+        monkeypatch.setattr(M, "open", _FullDisk, raising=False)
+    else:
+        monkeypatch.setattr(M.os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(build_model(tiny_cfg(), 1), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lkar"]
 
 
 BAD_SNAPSHOTS = {

@@ -11,6 +11,7 @@ from oracles import (
     anti_pool_oracle,
     broadcast_oracle,
     conv1d_oracle,
+    conv2d_gemm_oracle,
     conv2d_oracle,
 )
 
@@ -59,6 +60,57 @@ def test_conv2d_matches_oracle_configs(stride, padding, dilation, groups):
     got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
     want = conv2d_oracle(x, w, b, stride=stride, padding=padding, dilation=dilation, groups=groups)
     np.testing.assert_allclose(got, want, atol=1e-11)
+
+
+# (N, C_in, C_out, H, W, kernel, stride, padding, dilation, groups, input requires grad):
+# every convolution the model runs, at the training (16) and extraction (32)
+# batch, plus the oracle-config rows and an asymmetric-padding dilated depthwise.
+_MODEL_CONVS = {
+    "stem0": (3, 16, 48, 48, 3, 2, 1, 1, 1),
+    "stem1": (16, 32, 24, 24, 3, 2, 1, 1, 1),
+    "stem2": (32, 64, 12, 12, 3, 2, 1, 1, 1),
+    "trunk": (64, 64, 6, 6, 3, 1, 1, 1, 1),
+    "pw": (64, 64, 6, 6, 1, 1, 0, 1, 1),
+    "lka_dw": (64, 64, 6, 6, 3, 1, 1, 1, 64),
+    "lka_dd": (64, 64, 6, 6, 4, 1, ((3, 3), (3, 3)), 2, 64),
+}
+_BITWISE_CASES = {
+    **{f"{name}-n{n}": (n, *cfg, True) for name, cfg in _MODEL_CONVS.items() for n in (16, 32)},
+    **{
+        f"configs-s{s}-p{str(p).replace(' ', '')}-d{d}-g{g}": (2, 4, 6, 8, 9, 3, s, p, d, g, True)
+        for s, p, d, g in [
+            (1, 0, 1, 1), (2, 1, 1, 1), (1, 2, 2, 2), (2, ((1, 0), (0, 1)), 1, 1), (2, 1, 1, 2),
+        ]
+    },
+    "dd-k5-d3-asym": (4, 8, 8, 13, 13, 5, 1, ((1, 2), (1, 2)), 3, 8, True),
+    "dw-1x1-output": (2, 4, 4, 3, 3, 3, 1, 0, 1, 4, True),
+    "dw-one-sample-one-channel": (1, 1, 1, 6, 6, 3, 1, 1, 1, 1, True),
+    "stem0-no-input-grad": (16, 3, 16, 48, 48, 3, 2, 1, 1, 1, False),
+}
+
+
+@pytest.mark.parametrize("case", _BITWISE_CASES.values(), ids=_BITWISE_CASES.keys())
+def test_conv2d_float32_bitwise_matches_gemm_oracle(case):
+    n, cin, cout, h, w, k, stride, padding, dilation, groups, x_grad = case
+    rng = np.random.default_rng(21)
+    spec = Conv2dSpec(cin, cout, (k, k), stride=stride, padding=padding, dilation=dilation, groups=groups)
+    x = rng.standard_normal((n, cin, h, w), dtype=np.float32)
+    wt = rng.standard_normal(spec.weight_shape(), dtype=np.float32)
+    b = rng.standard_normal(cout, dtype=np.float32)
+    dout = rng.standard_normal((n, cout, *spec.out_size(h, w)), dtype=np.float32)
+    want = conv2d_gemm_oracle(x, wt, b, dout, stride, padding, dilation, groups)
+
+    xt, wtt, bt = Tensor(x, requires_grad=x_grad), Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True)
+    out = T.conv2d(xt, wtt, bt, spec)
+    T.backward(T.tsum(T.mul(out, Tensor(dout))))
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, want[0])
+    if x_grad:
+        assert np.array_equal(xt.grad, want[1])
+    else:
+        assert xt.grad is None
+    assert np.array_equal(wtt.grad, want[2])
+    assert np.array_equal(bt.grad, want[3])
 
 
 def test_conv2d_linearity():
