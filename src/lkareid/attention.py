@@ -77,7 +77,6 @@ class Decomposition:
     params_decomposed: int
     params_depthwise_full: int
     params_full_conv: int
-    flops_per_position: int
 
 
 def decompose_large_kernel(kernel, dilation, channels=1):
@@ -89,20 +88,18 @@ def decompose_large_kernel(kernel, dilation, channels=1):
     """
     cfg = LkaConfig(channels, kernel, dilation)
     c, dw, dd = channels, cfg.dw_kernel, cfg.dd_kernel
-    params_dec = c * dw * dw + c * dd * dd + c * c
     return Decomposition(
         dw_kernel=dw,
         dd_kernel=dd,
         dilation=dilation,
         receptive_field=(dd - 1) * dilation + dw,
-        params_decomposed=params_dec,
+        params_decomposed=c * dw * dw + c * dd * dd + c * c,
         params_depthwise_full=c * kernel * kernel + c * c,
         params_full_conv=c * c * kernel * kernel,
-        flops_per_position=2 * params_dec,
     )
 
 
-def eca_kernel_size(channels, gamma=2.0, b=2.0):
+def eca_kernel_size(channels, gamma=HcaConfig.gamma, b=HcaConfig.b):
     """Adaptive odd 1-d kernel size from the channel count.
 
     t = log2(C)/gamma + b/gamma, truncated toward zero; even values are

@@ -14,18 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import LkaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
+from .attention import HcaConfig, LkaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
 from .evaluation import evaluate, evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
 from .tensor import NumericsError
-from .training import (
-    SyntheticDatasetSpec,
-    TrainConfig,
-    fit,
-    split_query_gallery,
-    synth_generate,
-    write_log,
-)
+from .training import SyntheticDatasetSpec, TrainConfig, fit, split_query_gallery, synth_generate
 from .verify import TOLERANCE, run_gradcheck
 
 # test hook: name a gradcheck block whose analytic gradient gets corrupted
@@ -80,53 +73,62 @@ def cmd_gradcheck(args):
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "seed": 0,
-    "steps": 400,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "optimizer": "sgd",
-    "grad_clip_norm": 5.0,
-    "margin": 0.3,
-    "label_smoothing": 0.0,
-    "p": 4,
-    "k": 4,
-    "num_identities": 16,
-    "images_per_identity": 8,
-    "num_cameras": 4,
-    "image_size": 48,
-    "stem_widths": "16,32,64",
-    "feature_dim": 128,
-    "blocks_per_branch": 3,
-    "lka_kernel": 7,
-    "lka_dilation": 2,
-    "hca_local_grid": 5,
-    "attention_enabled": True,
-    "metadata_embeddings_enabled": False,
+# `lkareid train`'s flat config keys, each with the (config class, field)
+# pairs it sets.  A key's default and type are those of the first of its
+# fields that has a default; stem_widths is written as "16,32,64".
+_TRAIN_KEYS = {
+    "seed": ((TrainConfig, "seed"), (SyntheticDatasetSpec, "seed")),
+    "steps": ((TrainConfig, "steps"),),
+    "lr": ((TrainConfig, "lr"),),
+    "momentum": ((TrainConfig, "momentum"),),
+    "optimizer": ((TrainConfig, "optimizer"),),
+    "grad_clip_norm": ((TrainConfig, "grad_clip_norm"),),
+    "margin": ((TrainConfig, "margin"),),
+    "label_smoothing": ((TrainConfig, "label_smoothing"),),
+    "p": ((TrainConfig, "identities_per_batch"),),
+    "k": ((TrainConfig, "instances_per_identity"),),
+    "num_identities": ((ModelConfig, "num_identities"), (SyntheticDatasetSpec, "num_identities")),
+    "images_per_identity": ((SyntheticDatasetSpec, "images_per_identity"),),
+    "num_cameras": ((ModelConfig, "num_cameras"), (SyntheticDatasetSpec, "num_cameras")),
+    "image_size": ((SyntheticDatasetSpec, "image_size"),),
+    "stem_widths": ((ModelConfig, "stem_widths"),),
+    "feature_dim": ((ModelConfig, "feature_dim"),),
+    "blocks_per_branch": ((ModelConfig, "blocks_per_branch"),),
+    "lka_kernel": ((ModelConfig, "lka_kernel"),),
+    "lka_dilation": ((ModelConfig, "lka_dilation"),),
+    "hca_local_grid": ((ModelConfig, "hca_local_grid"),),
+    "attention_enabled": ((ModelConfig, "attention_enabled"),),
+    "metadata_embeddings_enabled": ((ModelConfig, "metadata_embeddings_enabled"),),
 }
 
 
+def _field_default(key):
+    # a dataclass field with a default keeps it as a class attribute
+    return next(getattr(cls, name) for cls, name in _TRAIN_KEYS[key] if hasattr(cls, name))
+
+
+def _default(key):
+    value = _field_default(key)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def _coerce(key, value):
-    default = _TRAIN_DEFAULTS[key]
+    default = _default(key)
     if isinstance(default, bool):
         if str(value).lower() in ("1", "true", "yes"):
             return True
         if str(value).lower() in ("0", "false", "no"):
             return False
         raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return str(value)
+    return type(default)(value)
 
 
 def resolve_train_config(config_path=None, overrides=()):
     """Flat key=value config layer plus CLI overrides; unknown keys rejected."""
-    resolved = dict(_TRAIN_DEFAULTS)
+    resolved = {key: _default(key) for key in _TRAIN_KEYS}
 
     def apply(key, value, where):
-        if key not in _TRAIN_DEFAULTS:
+        if key not in _TRAIN_KEYS:
             raise ValueError(f"{where}: unknown config key {key!r}")
         resolved[key] = _coerce(key, value)
 
@@ -148,38 +150,16 @@ def resolve_train_config(config_path=None, overrides=()):
 
 
 def _configs_from_resolved(resolved):
-    model_cfg = ModelConfig(
-        num_identities=resolved["num_identities"],
-        stem_widths=tuple(int(v) for v in str(resolved["stem_widths"]).split(",")),
-        feature_dim=resolved["feature_dim"],
-        blocks_per_branch=resolved["blocks_per_branch"],
-        lka_kernel=resolved["lka_kernel"],
-        lka_dilation=resolved["lka_dilation"],
-        hca_local_grid=resolved["hca_local_grid"],
-        num_cameras=resolved["num_cameras"],
-        attention_enabled=resolved["attention_enabled"],
-        metadata_embeddings_enabled=resolved["metadata_embeddings_enabled"],
-    )
-    train_cfg = TrainConfig(
-        identities_per_batch=resolved["p"],
-        instances_per_identity=resolved["k"],
-        margin=resolved["margin"],
-        lr=resolved["lr"],
-        momentum=resolved["momentum"],
-        optimizer=resolved["optimizer"],
-        grad_clip_norm=resolved["grad_clip_norm"],
-        steps=resolved["steps"],
-        seed=resolved["seed"],
-        label_smoothing=resolved["label_smoothing"],
-    )
-    data_spec = SyntheticDatasetSpec(
-        num_identities=resolved["num_identities"],
-        images_per_identity=resolved["images_per_identity"],
-        num_cameras=resolved["num_cameras"],
-        image_size=resolved["image_size"],
-        seed=resolved["seed"],
-    )
-    return model_cfg, train_cfg, data_spec
+    """(ModelConfig, TrainConfig, SyntheticDatasetSpec) with every field a
+    key names set from `resolved`; other fields keep their defaults."""
+    kwargs = {ModelConfig: {}, TrainConfig: {}, SyntheticDatasetSpec: {}}
+    for key, fields in _TRAIN_KEYS.items():
+        value = resolved[key]
+        if isinstance(_field_default(key), tuple):
+            value = tuple(int(v) for v in str(value).split(","))
+        for cls, name in fields:
+            kwargs[cls][name] = value
+    return tuple(cls(**kw) for cls, kw in kwargs.items())
 
 
 def cmd_train(args):
@@ -194,8 +174,19 @@ def cmd_train(args):
     data = synth_generate(data_spec)
     train_idx, _, _ = split_query_gallery(data, data_spec)
     state = build_model(model_cfg, train_cfg.seed)
-    records = fit(state, data, train_cfg, sample_positions=train_idx)
-    write_log(records, out_dir / "log.jsonl")
+    records = []
+    with open(out_dir / "log.jsonl", "w", encoding="utf-8") as log:
+
+        def log_fn(record):
+            records.append(record)
+            log.write(json.dumps(record) + "\n")
+            log.flush()
+
+        try:
+            fit(state, data, train_cfg, sample_positions=train_idx, log_fn=log_fn)
+        except NumericsError as exc:
+            log_fn({"step": len(records), "status": "diverged", "error": str(exc)})
+            raise
     save_checkpoint(state, out_dir / "checkpoint.lkar")
     if records:
         print(f"step {records[-1]['step']}: total loss {records[-1]['total']:.4f}")
@@ -253,8 +244,8 @@ def build_parser():
     p.add_argument("--C", type=int, default=256, help="channel count")
     p.add_argument("--H", type=int, default=32)
     p.add_argument("--W", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=2.0)
+    p.add_argument("--gamma", type=float, default=HcaConfig.gamma)
+    p.add_argument("--b", type=float, default=HcaConfig.b)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 

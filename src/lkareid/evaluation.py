@@ -66,12 +66,6 @@ class Manifest:
             raise ValueError("manifest has samples without precomputed features")
         return np.stack(feats)
 
-    def ids(self):
-        return np.array([s.vehicle_id for s in self.samples])
-
-    def cameras(self):
-        return np.array([s.camera_id for s in self.samples])
-
 
 @dataclass
 class EvalReport:
@@ -84,10 +78,6 @@ class EvalReport:
     @property
     def rank1(self):
         return float(self.cmc[0])
-
-    @property
-    def rank5(self):
-        return float(self.cmc[4]) if len(self.cmc) >= 5 else float(self.cmc[-1])
 
     def to_json(self):
         return json.dumps(

@@ -53,11 +53,11 @@ class ModelConfig:
     stem_widths: tuple = (16, 32, 64)
     feature_dim: int = 128
     blocks_per_branch: int = 3
-    lka_kernel: int = 7
-    lka_dilation: int = 2
-    hca_local_grid: int = 5
-    hca_gamma: float = 2.0
-    hca_b: float = 2.0
+    lka_kernel: int = LkaConfig.kernel
+    lka_dilation: int = LkaConfig.dilation
+    hca_local_grid: int = HcaConfig.local_grid
+    hca_gamma: float = HcaConfig.gamma
+    hca_b: float = HcaConfig.b
     num_cameras: int = 4
     num_views: int = 2
     metadata_embeddings_enabled: bool = False
@@ -441,6 +441,8 @@ def load_checkpoint(path):
             )
         n_items = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(take(4 * n_items, name), dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"tensor {name} has non-finite values")
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if pos != len(blob):
         raise CheckpointError("trailing bytes after tensor table")

@@ -7,14 +7,13 @@ K instances).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .model import forward_train
+from .model import ModelConfig, forward_train
 from .tensor import NumericsError, Tensor
 
 
@@ -24,8 +23,8 @@ class TrainingDivergence(NumericsError):
 
 @dataclass
 class TrainConfig:
-    identities_per_batch: int = 6  # P
-    instances_per_identity: int = 8  # K
+    identities_per_batch: int = 4  # P
+    instances_per_identity: int = 4  # K
     margin: float = 0.3
     lr: float = 0.01
     momentum: float = 0.9
@@ -54,10 +53,10 @@ class TrainConfig:
 class SyntheticDatasetSpec:
     num_identities: int = 16
     images_per_identity: int = 8
-    num_cameras: int = 4
-    num_views: int = 2
+    num_cameras: int = ModelConfig.num_cameras
+    num_views: int = ModelConfig.num_views
     image_size: int = 48
-    seed: int = 0
+    seed: int = TrainConfig.seed
 
 
 @dataclass
@@ -67,11 +66,12 @@ class SynthData:
     cameras: np.ndarray
     views: np.ndarray
 
-    def identity_index(self):
-        """label -> list of sample positions, for PK sampling."""
+    def identity_index(self, positions=None):
+        """label -> list of sample positions (all, or those given), for PK
+        sampling."""
         index = {}
-        for pos, lab in enumerate(self.labels):
-            index.setdefault(int(lab), []).append(pos)
+        for pos in range(len(self.labels)) if positions is None else positions:
+            index.setdefault(int(self.labels[pos]), []).append(int(pos))
         return index
 
 
@@ -79,7 +79,7 @@ class SynthData:
 # losses
 
 
-def cross_entropy_loss(logits, labels, label_smoothing=0.0):
+def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothing):
     """Mean negative log-softmax at the true class, max-stabilized."""
     z = logits.data
     if z.ndim != 2:
@@ -111,7 +111,7 @@ def cross_entropy_loss(logits, labels, label_smoothing=0.0):
     return out
 
 
-def batch_hard_triplet_loss(embeddings, labels, margin=0.3):
+def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
     """Batch-hard mining: per anchor, farthest positive and nearest
     negative by Euclidean distance, hinged at the margin."""
     x = embeddings.data
@@ -357,10 +357,7 @@ def fit(state, data, cfg, sample_positions=None, log_fn=None):
     `sample_positions` restricts sampling to a subset of the dataset (the
     training split).  Each record is JSON-serializable, one per step.
     """
-    positions = np.arange(len(data.labels)) if sample_positions is None else np.asarray(sample_positions)
-    index = {}
-    for pos in positions:
-        index.setdefault(int(data.labels[pos]), []).append(int(pos))
+    index = data.identity_index(sample_positions)
     rng = np.random.default_rng(cfg.seed)
     opt = Optimizer(state.params, cfg)
     records = []
@@ -378,9 +375,3 @@ def fit(state, data, cfg, sample_positions=None, log_fn=None):
         if log_fn is not None:
             log_fn(record)
     return records
-
-
-def write_log(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")

@@ -39,35 +39,27 @@ def _maybe_corrupt(loss, corrupt):
     return _bad_scale(loss) if corrupt else loss
 
 
-def gradcheck_lka(seed, channels=8, hw=12, kernel=5, dilation=2, sample=None, corrupt=False):
-    cfg = LkaConfig(channels, kernel, dilation)
+# attention blocks checked: config, side of the (1, C, hw, hw) input,
+# parameter shapes and forward
+_BLOCKS = {
+    "lka": (LkaConfig(8, kernel=5), 12, lka_param_shapes, lka_forward),
+    "hca": (HcaConfig(8), 10, hca_param_shapes, hca_forward),
+}
+
+
+def gradcheck_block(block, seed, sample=None, corrupt=False):
+    cfg, hw, param_shapes, forward = _BLOCKS[block]
     rng = np.random.default_rng(seed)
-    params = init_params(lka_param_shapes(cfg), rng, dtype=np.float64)
+    params = init_params(param_shapes(cfg), rng, dtype=np.float64)
     # nonzero biases so their gradients are exercised off the origin
     for name, p in params.items():
         if name.endswith(".bias"):
             p.data += rng.normal(0.0, 0.05, p.shape)
-    x = Tensor(rng.normal(0.0, 1.0, (1, channels, hw, hw)))
+    x = Tensor(rng.normal(0.0, 1.0, (1, cfg.channels, hw, hw)))
     names = list(params)
 
     def f(xt, *ps):
-        return _maybe_corrupt(T.tsum(lka_forward(xt, dict(zip(names, ps)), cfg)), corrupt)
-
-    return gradient_check(f, [x, *params.values()], sample=sample, rng=rng)
-
-
-def gradcheck_hca(seed, channels=8, hw=10, local_grid=5, sample=None, corrupt=False):
-    cfg = HcaConfig(channels, local_grid)
-    rng = np.random.default_rng(seed)
-    params = init_params(hca_param_shapes(cfg), rng, dtype=np.float64)
-    for name, p in params.items():
-        if name.endswith(".bias"):
-            p.data += rng.normal(0.0, 0.05, p.shape)
-    x = Tensor(rng.normal(0.0, 1.0, (1, channels, hw, hw)))
-    names = list(params)
-
-    def f(xt, *ps):
-        return _maybe_corrupt(T.tsum(hca_forward(xt, dict(zip(names, ps)), cfg)), corrupt)
+        return _maybe_corrupt(T.tsum(forward(xt, dict(zip(names, ps)), cfg)), corrupt)
 
     return gradient_check(f, [x, *params.values()], sample=sample, rng=rng)
 
@@ -83,13 +75,13 @@ def gradcheck_cross_entropy(seed, batch=6, classes=5, corrupt=False):
     return gradient_check(f, [logits], rng=rng)
 
 
-def gradcheck_triplet(seed, batch=8, dim=4, margin=0.3, corrupt=False):
+def gradcheck_triplet(seed, batch=8, dim=4, corrupt=False):
     rng = np.random.default_rng(seed)
     emb = Tensor(rng.normal(0.0, 1.0, (batch, dim)))
     labels = np.repeat(np.arange(batch // 2), 2)
 
     def f(e):
-        return _maybe_corrupt(batch_hard_triplet_loss(e, labels, margin), corrupt)
+        return _maybe_corrupt(batch_hard_triplet_loss(e, labels), corrupt)
 
     return gradient_check(f, [emb], rng=rng)
 
@@ -145,10 +137,9 @@ def run_gradcheck(scope, seed, sample=None, corrupt=None):
     as a negative control for the checker itself.
     """
     results = {}
-    if scope in ("all", "lka"):
-        results["lka"] = gradcheck_lka(seed, sample=sample or 40, corrupt=corrupt == "lka")
-    if scope in ("all", "hca"):
-        results["hca"] = gradcheck_hca(seed, sample=sample or 40, corrupt=corrupt == "hca")
+    for block in _BLOCKS:
+        if scope in ("all", block):
+            results[block] = gradcheck_block(block, seed, sample=sample or 40, corrupt=corrupt == block)
     if scope in ("all", "losses"):
         results["cross_entropy"] = gradcheck_cross_entropy(seed, corrupt=corrupt == "cross_entropy")
         results["triplet"] = gradcheck_triplet(seed, corrupt=corrupt == "triplet")

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from lkareid import cli
 from lkareid.cli import main, resolve_train_config
-from lkareid.model import load_checkpoint
+from lkareid.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from lkareid.training import SyntheticDatasetSpec, TrainConfig
 
 from conftest import rewrite_config_snapshot
 
@@ -133,6 +135,65 @@ def test_train_rerun_from_written_config(capsys, tmp_path):
     assert (tmp_path / "a/log.jsonl").read_text() == (tmp_path / "b/log.jsonl").read_text()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_divergence_streams_log_and_exits_2(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, *_fast_train_args(out_dir, "--set", "lr=1e30"))
+    assert code == 2
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in (out_dir / "log.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in records] == [0, 1]
+    assert {"total", "ce_l1", "ce_h1", "tri_l2", "tri_h2"} <= set(records[0])
+    assert records[1] == {"step": 1, "status": "diverged", "error": "non-finite values produced by conv2d"}
+    assert not (out_dir / "checkpoint.lkar").exists()
+
+
+# the default config.json, as measured before the defaults moved into the
+# config dataclasses
+DEFAULT_CONFIG_JSON = """{
+  "attention_enabled": true,
+  "blocks_per_branch": 3,
+  "feature_dim": 128,
+  "grad_clip_norm": 5.0,
+  "hca_local_grid": 5,
+  "image_size": 48,
+  "images_per_identity": 8,
+  "k": 4,
+  "label_smoothing": 0.0,
+  "lka_dilation": 2,
+  "lka_kernel": 7,
+  "lr": 0.01,
+  "margin": 0.3,
+  "metadata_embeddings_enabled": false,
+  "momentum": 0.9,
+  "num_cameras": 4,
+  "num_identities": 16,
+  "optimizer": "sgd",
+  "p": 4,
+  "seed": 0,
+  "stem_widths": "16,32,64",
+  "steps": 400
+}
+"""
+
+
+def test_train_default_config_json_golden(capsys, tmp_path, monkeypatch):
+    def stop(spec):
+        raise ValueError("stopped before training")
+
+    # config.json is written before the dataset is built
+    monkeypatch.setattr(cli, "synth_generate", stop)
+    code, _, _ = run_cli(capsys, "train", "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert (tmp_path / "run/config.json").read_text() == DEFAULT_CONFIG_JSON
+
+
+def test_default_keys_build_the_default_configs():
+    assert cli._configs_from_resolved(resolve_train_config()) == (
+        ModelConfig(num_identities=16), TrainConfig(), SyntheticDatasetSpec(),
+    )
+
+
 def test_train_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "train", "--out", str(tmp_path / "x"), "--set", "warp_speed=9"
@@ -230,6 +291,22 @@ def test_eval_with_checkpoint(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert 0.0 <= doc["mAP"] <= 1.0
+
+
+def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
+    state = build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0)
+    state.params["stem.0.weight"].data[0, 0, 0, 0] = np.nan
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(state, ckpt)
+    image = tmp_path / "a.npy"
+    np.save(image, np.full((3, 16, 16), 0.5, dtype=np.float32))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, _, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1
+    assert "stem.0.weight" in err and "Traceback" not in err
 
 
 def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):

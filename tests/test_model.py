@@ -332,6 +332,16 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, stage):
     assert [p.name for p in tmp_path.iterdir()] == ["m.lkar"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value(tmp_path, value):
+    state = build_model(tiny_cfg(), 0)
+    state.params["stem.0.weight"].data[0, 0, 0, 0] = value
+    path = tmp_path / "m.lkar"
+    save_checkpoint(state, path)
+    with pytest.raises(CheckpointError, match="stem.0.weight"):
+        load_checkpoint(path)
+
+
 BAD_SNAPSHOTS = {
     "missing_key": lambda d: d.pop("stem_widths"),
     "unknown_key": lambda d: d.update(extra=1),

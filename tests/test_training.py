@@ -221,6 +221,22 @@ def test_split_query_gallery_disjoint_and_crosscamera():
         )
 
 
+def test_default_k_draws_the_training_split_without_replacement():
+    spec = SyntheticDatasetSpec()
+    data = synth_generate(spec)
+    train, _, _ = split_query_gallery(data, spec)
+    sizes = {len(v) for v in data.identity_index(train).values()}
+    assert sizes == {TrainConfig().instances_per_identity}
+
+
+def test_identity_index_of_positions():
+    data = synth_generate(SyntheticDatasetSpec(num_identities=3, images_per_identity=4, image_size=16))
+    assert data.identity_index() == {0: [0, 1, 2, 3], 1: [4, 5, 6, 7], 2: [8, 9, 10, 11]}
+    index = data.identity_index(np.array([9, 1, 0, 8]))
+    assert index == {2: [9, 8], 0: [1, 0]}
+    assert all(type(pos) is int for positions in index.values() for pos in positions)
+
+
 # ---------------------------------------------------------------------------
 # train_step / fit
 
@@ -297,4 +313,4 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TrainConfig(label_smoothing=1.5)
-    assert TrainConfig().batch_size == 48  # default P=6, K=8
+    assert TrainConfig().batch_size == 16  # default P=4, K=4
