@@ -210,22 +210,19 @@ def hca_attention_map(x, params, cfg):
     ks = cfg.local_grid
     if ks > min(h, w):
         raise ValueError(f"local grid {ks} exceeds spatial extent {h}x{w}")
-    k = cfg.conv1d_kernel
-    pad = (k - 1) // 2
-
     pooled = T.adaptive_avg_pool(x, (ks, ks))  # (N, C, ks, ks)
 
     # global branch: GAP then 1-d conv along channels
     g = T.adaptive_avg_pool(pooled, (1, 1))
     g = T.reshape(g, (n, 1, c))
-    g = T.conv1d(g, params["global.weight"], params["global.bias"], k, pad)
+    g = T.conv1d(g, params["global.weight"], params["global.bias"])
     g = T.reshape(g, (n, c, 1, 1))
     u_global = T.anti_pool(g, (h, w))
 
     # local branch: one channel sequence per pooling bin, shared kernel
     loc = T.reshape(pooled, (n, c, ks * ks))
     loc = T.transpose(loc, (0, 2, 1))  # (N, ks*ks, C)
-    loc = T.conv1d(loc, params["local.weight"], params["local.bias"], k, pad)
+    loc = T.conv1d(loc, params["local.weight"], params["local.bias"])
     loc = T.transpose(loc, (0, 2, 1))
     loc = T.reshape(loc, (n, c, ks, ks))
     u_local = T.anti_pool(loc, (h, w))
@@ -244,7 +241,7 @@ def hca_forward(x, params, cfg):
 
 def _conv_flops(spec, h, w, n=1):
     oh, ow = spec.out_size(h, w)
-    kh, kw = T._as_pair(spec.kernel)
+    kh, kw = spec.kernel
     macs = spec.out_channels * (spec.in_channels // spec.groups) * kh * kw * oh * ow * n
     return 2 * macs
 

@@ -214,6 +214,8 @@ def cmc_curve(relevance_lists, max_rank):
 def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples, max_rank=10):
     """Full protocol over precomputed features; ties broken by stable
     gallery order."""
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     query_feats = np.asarray(query_feats, dtype=np.float64)
     gallery_feats = np.asarray(gallery_feats, dtype=np.float64)
     if query_feats.shape[1] != gallery_feats.shape[1]:

@@ -90,7 +90,6 @@ class ModelState:
 
     config: ModelConfig
     params: dict  # name -> Tensor, insertion-ordered
-    version: int = _VERSION
 
     def num_params(self):
         return sum(t.size for t in self.params.values())
@@ -373,7 +372,7 @@ def save_checkpoint(state, path):
     a named tensor table with little-endian float32 values."""
     blob = bytearray()
     blob += _MAGIC
-    blob += struct.pack("<H", state.version)
+    blob += struct.pack("<H", _VERSION)
     cfg_bytes = _config_to_json(state.config).encode("utf-8")
     blob += struct.pack("<I", len(cfg_bytes))
     blob += cfg_bytes
@@ -446,4 +445,4 @@ def load_checkpoint(path):
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if pos != len(blob):
         raise CheckpointError("trailing bytes after tensor table")
-    return ModelState(config=cfg, params=params, version=version)
+    return ModelState(config=cfg, params=params)

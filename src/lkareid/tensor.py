@@ -15,6 +15,10 @@ Its float32 outputs and gradients equal those of the plain im2col/GEMM
 arithmetic in `tests/oracles.conv2d_gemm_oracle` bit for bit, which keeps
 training trajectories reproducible.  The slow mathematical reference is
 `tests/oracles.conv2d_oracle`.
+
+A convolution's geometry is decided once: `Conv2dSpec` normalizes kernel,
+stride, dilation and padding when it is built, and everything else reads
+its fields.  `conv1d` takes its kernel size from the weight's length.
 """
 from __future__ import annotations
 
@@ -61,7 +65,12 @@ def _as_padding(v):
 
 @dataclass(frozen=True)
 class Conv2dSpec:
-    """Shape contract for a 2-d convolution."""
+    """Shape contract for a 2-d convolution.
+
+    `kernel`, `stride` and `dilation` may be given as an int or a pair, and
+    `padding` as an int, a pair or ((top, bottom), (left, right)).  They are
+    stored normalized: int pairs, and padding per side.
+    """
 
     in_channels: int
     out_channels: int
@@ -73,8 +82,10 @@ class Conv2dSpec:
     has_bias: bool = True
 
     def __post_init__(self):
-        kh, kw = _as_pair(self.kernel)
-        if kh < 1 or kw < 1:
+        for name in ("kernel", "stride", "dilation"):
+            object.__setattr__(self, name, _as_pair(getattr(self, name)))
+        object.__setattr__(self, "padding", _as_padding(self.padding))
+        if min(self.kernel) < 1:
             raise ValueError(f"kernel extents must be >= 1, got {self.kernel}")
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
@@ -83,20 +94,20 @@ class Conv2dSpec:
                 f"channels ({self.in_channels}, {self.out_channels}) not divisible "
                 f"by groups ({self.groups})"
             )
-        if min(_as_pair(self.stride)) < 1:
+        if min(self.stride) < 1:
             raise ValueError("stride must be >= 1")
-        if min(_as_pair(self.dilation)) < 1:
+        if min(self.dilation) < 1:
             raise ValueError("dilation must be >= 1")
 
     def weight_shape(self):
-        kh, kw = _as_pair(self.kernel)
+        kh, kw = self.kernel
         return (self.out_channels, self.in_channels // self.groups, kh, kw)
 
     def out_size(self, h, w):
-        kh, kw = _as_pair(self.kernel)
-        sh, sw = _as_pair(self.stride)
-        dh, dw = _as_pair(self.dilation)
-        (pt, pb), (pl, pr) = _as_padding(self.padding)
+        kh, kw = self.kernel
+        sh, sw = self.stride
+        dh, dw = self.dilation
+        (pt, pb), (pl, pr) = self.padding
         oh = (h + pt + pb - dh * (kh - 1) - 1) // sh + 1
         ow = (w + pl + pr - dw * (kw - 1) - 1) // sw + 1
         if oh < 1 or ow < 1:
@@ -149,18 +160,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), mul(self, -1.0))
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x, dtype):
@@ -386,9 +385,9 @@ def l2_normalize(x, axis):
 def _tap_slices(spec, oh, ow):
     """(row slice, column slice) of the padded input that each kernel tap
     reads, in (ky, kx) order: kh*kw strided windows of oh x ow positions."""
-    kh, kw = _as_pair(spec.kernel)
-    sh, sw = _as_pair(spec.stride)
-    dh, dw = _as_pair(spec.dilation)
+    kh, kw = spec.kernel
+    sh, sw = spec.stride
+    dh, dw = spec.dilation
     return [
         (
             slice(ky * dh, ky * dh + sh * (oh - 1) + 1, sh),
@@ -403,7 +402,7 @@ def _pad_channels_last(x, spec):
     """Zero-padded (H + pt + pb, W + pl + pr, N, C) copy of NCHW `x`.  A tap
     slice of it is a grid of contiguous N*C blocks."""
     n, c, h, w = x.shape
-    (pt, pb), (pl, pr) = _as_padding(spec.padding)
+    (pt, pb), (pl, pr) = spec.padding
     xp = np.zeros((h + pt + pb, w + pl + pr, n, c), dtype=x.dtype)
     xp[pt : pt + h, pl : pl + w] = x.transpose(2, 3, 0, 1)
     return xp
@@ -441,7 +440,7 @@ def conv2d(x, weight, bias, spec):
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ValueError(f"bias shape {bias.shape} != ({spec.out_channels},)")
 
-    kh, kw = _as_pair(spec.kernel)
+    kh, kw = spec.kernel
     groups = spec.groups
     icpg = spec.in_channels // groups
     ocpg = spec.out_channels // groups
@@ -495,7 +494,7 @@ def conv2d(x, weight, bias, spec):
             dxp = np.zeros(pad_shape, dtype=np.result_type(wg, out.grad))
             for tap, d in zip(taps, dtaps):
                 dxp[tap] += d
-            (pt, _pb), (pl, _pr) = _as_padding(spec.padding)
+            (pt, _pb), (pl, _pr) = spec.padding
             _accum(x, dxp[pt : pt + h, pl : pl + w].transpose(2, 3, 0, 1))
         if bias is not None:
             _accum(bias, out.grad.sum(axis=(0, 2, 3)))
@@ -504,21 +503,21 @@ def conv2d(x, weight, bias, spec):
     return out
 
 
-def conv1d(x, weight, bias, kernel, padding):
+def conv1d(x, weight, bias):
     """Length-preserving 1-d convolution with a single shared kernel vector.
 
     Input is (B, C_seq, L); the same weight vector slides along every
-    sequence.  Odd kernels only, with padding (k-1)/2.
+    sequence.  The kernel size k is the weight's length, odd, and the
+    padding is (k-1)/2.
     """
     if x.data.ndim != 3:
         raise ValueError("conv1d expects (B, C_seq, L) input")
-    k = int(kernel)
-    if k < 1 or k % 2 == 0:
+    if weight.data.ndim != 1:
+        raise ValueError(f"conv1d weight must be 1-d, got shape {weight.shape}")
+    (k,) = weight.shape
+    if k % 2 == 0:
         raise ValueError(f"conv1d kernel must be odd and >= 1, got {k}")
-    if padding != (k - 1) // 2:
-        raise ValueError(f"conv1d padding must be (k-1)/2 = {(k - 1) // 2}")
-    if weight.shape != (k,):
-        raise ValueError(f"conv1d weight shape {weight.shape} != ({k},)")
+    padding = (k - 1) // 2
     b, cs, length = x.shape
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     idx = np.arange(k)[:, None] + np.arange(length)[None, :]
@@ -622,7 +621,7 @@ def anti_pool(x, target_hw):
 # gradient checking
 
 
-def gradient_check(f, inputs, h=1e-5, sample=None, rng=None):
+def gradient_check(f, inputs, sample=None, rng=None):
     """Max relative error between analytic and central-difference gradients.
 
     `f` takes the given tensors and returns a scalar Tensor; it must be
@@ -648,6 +647,7 @@ def gradient_check(f, inputs, h=1e-5, sample=None, rng=None):
 
     if rng is None:
         rng = np.random.default_rng(0)
+    h = 1e-5  # central-difference step
     worst = 0.0
     for t, ga in zip(inputs, analytic):
         if sample is not None and t.size > sample:

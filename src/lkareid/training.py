@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must be in [0, 1)")
         if self.grad_clip_norm < 0:
             raise ValueError("grad_clip_norm must be >= 0")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
     @property
     def batch_size(self):

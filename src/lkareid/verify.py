@@ -2,6 +2,7 @@
 
 All checks run in float64 with central differences at h=1e-5 and report
 the max relative error |analytic - numeric| / max(1, |analytic|, |numeric|).
+Each check has fixed shapes and sample counts; only the seed varies.
 """
 from __future__ import annotations
 
@@ -24,21 +25,6 @@ from .training import batch_hard_triplet_loss, cross_entropy_loss
 TOLERANCE = 1e-4
 
 
-def _bad_scale(x):
-    """Identity forward with a deliberately wrong backward (negative control)."""
-    out = T._node(x.data.copy(), [x], "bad_scale")
-
-    def _bw():
-        T._accum(x, 1.01 * out.grad)
-
-    out._backward = _bw
-    return out
-
-
-def _maybe_corrupt(loss, corrupt):
-    return _bad_scale(loss) if corrupt else loss
-
-
 # attention blocks checked: config, side of the (1, C, hw, hw) input,
 # parameter shapes and forward
 _BLOCKS = {
@@ -47,7 +33,7 @@ _BLOCKS = {
 }
 
 
-def gradcheck_block(block, seed, sample=None, corrupt=False):
+def gradcheck_block(block, seed):
     cfg, hw, param_shapes, forward = _BLOCKS[block]
     rng = np.random.default_rng(seed)
     params = init_params(param_shapes(cfg), rng, dtype=np.float64)
@@ -59,36 +45,38 @@ def gradcheck_block(block, seed, sample=None, corrupt=False):
     names = list(params)
 
     def f(xt, *ps):
-        return _maybe_corrupt(T.tsum(forward(xt, dict(zip(names, ps)), cfg)), corrupt)
+        return T.tsum(forward(xt, dict(zip(names, ps)), cfg))
 
-    return gradient_check(f, [x, *params.values()], sample=sample, rng=rng)
+    return gradient_check(f, [x, *params.values()], sample=40, rng=rng)
 
 
-def gradcheck_cross_entropy(seed, batch=6, classes=5, corrupt=False):
+def gradcheck_cross_entropy(seed):
+    batch, classes = 6, 5
     rng = np.random.default_rng(seed)
     logits = Tensor(rng.normal(0.0, 2.0, (batch, classes)))
     labels = rng.integers(0, classes, batch)
 
     def f(z):
-        return _maybe_corrupt(cross_entropy_loss(z, labels), corrupt)
+        return cross_entropy_loss(z, labels)
 
     return gradient_check(f, [logits], rng=rng)
 
 
-def gradcheck_triplet(seed, batch=8, dim=4, corrupt=False):
+def gradcheck_triplet(seed):
+    batch, dim = 8, 4
     rng = np.random.default_rng(seed)
     emb = Tensor(rng.normal(0.0, 1.0, (batch, dim)))
     labels = np.repeat(np.arange(batch // 2), 2)
 
     def f(e):
-        return _maybe_corrupt(batch_hard_triplet_loss(e, labels), corrupt)
+        return batch_hard_triplet_loss(e, labels)
 
     return gradient_check(f, [emb], rng=rng)
 
 
-def tiny_model_config(num_identities=4):
+def tiny_model_config():
     return ModelConfig(
-        num_identities=num_identities,
+        num_identities=4,
         stem_widths=(4,),
         feature_dim=8,
         blocks_per_branch=1,
@@ -99,7 +87,7 @@ def tiny_model_config(num_identities=4):
     )
 
 
-def gradcheck_model(seed, sample=4, corrupt=False):
+def gradcheck_model(seed):
     """End-to-end check through a tiny model: scalar sum of every branch
     output, gradients sampled per parameter tensor."""
     cfg = tiny_model_config()
@@ -125,26 +113,22 @@ def gradcheck_model(seed, sample=4, corrupt=False):
         total = parts[0]
         for part in parts[1:]:
             total = T.add(total, part)
-        return _maybe_corrupt(total, corrupt)
+        return total
 
-    return gradient_check(f, [images, *state.params.values()], sample=sample, rng=rng)
+    return gradient_check(f, [images, *state.params.values()], sample=4, rng=rng)
 
 
-def run_gradcheck(scope, seed, sample=None, corrupt=None):
-    """Worst relative error per checked block for the requested scope.
-
-    `corrupt` names a block whose analytic gradient is deliberately broken,
-    as a negative control for the checker itself.
-    """
+def run_gradcheck(scope, seed):
+    """Worst relative error per checked block for the requested scope."""
     results = {}
     for block in _BLOCKS:
         if scope in ("all", block):
-            results[block] = gradcheck_block(block, seed, sample=sample or 40, corrupt=corrupt == block)
+            results[block] = gradcheck_block(block, seed)
     if scope in ("all", "losses"):
-        results["cross_entropy"] = gradcheck_cross_entropy(seed, corrupt=corrupt == "cross_entropy")
-        results["triplet"] = gradcheck_triplet(seed, corrupt=corrupt == "triplet")
+        results["cross_entropy"] = gradcheck_cross_entropy(seed)
+        results["triplet"] = gradcheck_triplet(seed)
     if scope in ("all", "model"):
-        results["model"] = gradcheck_model(seed, corrupt=corrupt == "model")
+        results["model"] = gradcheck_model(seed)
     if not results:
         raise ValueError(f"unknown gradcheck scope {scope!r}")
     return results

@@ -1,11 +1,13 @@
 """Command-line interface: argument handling, exit codes, determinism,
 and output artifacts."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from lkareid import cli
+from lkareid import cli, verify
+from lkareid import tensor as T
 from lkareid.cli import main, resolve_train_config
 from lkareid.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from lkareid.training import SyntheticDatasetSpec, TrainConfig
@@ -71,7 +73,20 @@ def test_gradcheck_deterministic(capsys):
 
 
 def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
-    monkeypatch.setenv("LKAREID_CORRUPT_GRAD", "hca")
+    cfg, hw, param_shapes, forward = verify._BLOCKS["hca"]
+
+    def off_by_one_percent(x, params, cfg):
+        # the real block, then an identity whose backward scales by 1.01
+        y = forward(x, params, cfg)
+        out = T._node(y.data.copy(), [y], "bad_scale")
+
+        def _bw():
+            T._accum(y, 1.01 * out.grad)
+
+        out._backward = _bw
+        return out
+
+    monkeypatch.setitem(verify._BLOCKS, "hca", (cfg, hw, param_shapes, off_by_one_percent))
     code, _, err = run_cli(capsys, "gradcheck", "--scope", "hca")
     assert code == 2
     assert "FAILED in block hca" in err
@@ -146,6 +161,12 @@ def test_train_divergence_streams_log_and_exits_2(capsys, tmp_path):
     assert {"total", "ce_l1", "ce_h1", "tri_l2", "tri_h2"} <= set(records[0])
     assert records[1] == {"step": 1, "status": "diverged", "error": "non-finite values produced by conv2d"}
     assert not (out_dir / "checkpoint.lkar").exists()
+    # numpy's overflow warnings stay out of the report, even as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *_fast_train_args(tmp_path / "strict", "--set", "lr=1e30"))
+    assert code == 2
+    assert err == "numerical failure: non-finite values produced by conv2d\n"
 
 
 # the default config.json, as measured before the defaults moved into the
@@ -242,6 +263,19 @@ def test_eval_feature_manifests(capsys, tmp_path):
     doc = json.loads(report_path.read_text())
     assert doc["mAP"] == pytest.approx(1.0)
     assert doc["format_version"] == 1
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_eval_max_rank_below_1_exits_1(capsys, tmp_path, max_rank):
+    q_path, g_path = _write_feature_manifests(tmp_path)
+    report_path = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "eval", "--query", str(q_path), "--gallery", str(g_path),
+        "--out", str(report_path), "--max-rank", max_rank,
+    )
+    assert code == 1
+    assert "max_rank must be >= 1" in err
+    assert not report_path.exists()
 
 
 def test_eval_deterministic_output(capsys, tmp_path):

@@ -152,14 +152,14 @@ def test_conv2d_shape_errors():
 
 def test_conv1d_identity():
     x = np.arange(6.0).reshape(1, 2, 3)
-    out = T.conv1d(Tensor(x), Tensor(np.array([1.0])), None, 1, 0)
+    out = T.conv1d(Tensor(x), Tensor(np.array([1.0])), None)
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_conv1d_hand_example():
     x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]]))
     w = Tensor(np.array([1.0, 1.0, 1.0]))
-    out = T.conv1d(x, w, None, 3, 1)
+    out = T.conv1d(x, w, None)
     np.testing.assert_array_equal(out.data, [[[3.0, 6.0, 9.0, 12.0, 9.0]]])
 
 
@@ -168,13 +168,13 @@ def test_conv1d_matches_oracle():
     x = rng.normal(size=(2, 3, 9))
     w = rng.normal(size=5)
     b = rng.normal(size=1)
-    got = T.conv1d(Tensor(x), Tensor(w), Tensor(b), 5, 2).data
+    got = T.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, conv1d_oracle(x, w, b), atol=1e-12)
 
 
 def test_conv1d_rejects_even_kernel():
     with pytest.raises(ValueError):
-        T.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(2)), None, 2, 0)
+        T.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(2)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_gradient_check_misc_ops(seed):
         u = T.anti_pool(p, (6, 6))
         s = T.sigmoid(T.gelu(T.mul(u, xt)))
         seq = T.reshape(T.transpose(s, (0, 2, 3, 1)), (2, 36, 3))
-        return T.tsum(T.conv1d(seq, wt, None, 3, 1))
+        return T.tsum(T.conv1d(seq, wt, None))
 
     assert gradient_check(f, [x, w]) <= 1e-4
 

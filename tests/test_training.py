@@ -313,4 +313,7 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TrainConfig(label_smoothing=1.5)
+    with pytest.raises(ValueError):
+        TrainConfig(steps=-1)
+    assert TrainConfig(steps=0).steps == 0
     assert TrainConfig().batch_size == 16  # default P=4, K=4
