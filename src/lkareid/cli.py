@@ -162,11 +162,10 @@ def cmd_train(args):
     resolved = resolve_train_config(args.config, args.set or ())
     if args.seed is not None:
         resolved["seed"] = args.seed
+    model_cfg, train_cfg, data_spec = _configs_from_resolved(resolved)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-
-    model_cfg, train_cfg, data_spec = _configs_from_resolved(resolved)
     data = synth_generate(data_spec)
     train_idx, _, _ = split_query_gallery(data, data_spec)
     state = build_model(model_cfg, train_cfg.seed)

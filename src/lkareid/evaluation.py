@@ -3,7 +3,10 @@ filtering, mAP and the CMC curve.
 
 Gallery entries sharing both identity and camera with the query are junk
 and excluded from ranking; a query left without any valid positive is
-skipped and counted, not scored zero.
+skipped and counted, not scored zero.  Equal similarities rank in gallery
+order, as a stable sort by descending similarity would place them; only
+the positives' ranks are computed.  Features must be finite, 2-d, with
+exactly one row per sample.
 """
 from __future__ import annotations
 
@@ -73,6 +76,7 @@ class EvalReport:
     cmc: np.ndarray  # cmc[r-1] = CMC at rank r
     per_query_ap: list
     skipped_queries: int
+    first_hit_ranks: np.ndarray  # 1-based, one per scored query in query order
     protocol: dict = field(default_factory=dict)
 
     @property
@@ -178,71 +182,114 @@ def pairwise_cosine(queries, gallery):
     return (q / qn) @ (g / gn).T
 
 
+def _id_arrays(samples):
+    """The (vehicle_id, camera_id) arrays of a sample list."""
+    return (
+        np.array([s.vehicle_id for s in samples], dtype=np.int64),
+        np.array([s.camera_id for s in samples], dtype=np.int64),
+    )
+
+
+def _junk(vehicle_id, camera_id, gallery_ids, gallery_cams):
+    """The junk rule: gallery entries sharing both identity and camera."""
+    return (gallery_ids == vehicle_id) & (gallery_cams == camera_id)
+
+
 def apply_protocol_filter(query, gallery):
     """Valid mask over the gallery: same-id same-camera entries are junk."""
-    mask = np.ones(len(gallery), dtype=bool)
-    for i, s in enumerate(gallery):
-        if s.vehicle_id == query.vehicle_id and s.camera_id == query.camera_id:
-            mask[i] = False
-    return mask
+    return ~_junk(query.vehicle_id, query.camera_id, *_id_arrays(gallery))
+
+
+def _positive_ranks(sims, valid, positives):
+    """Ascending 0-based ranks of the positives among the valid entries.
+
+    A positive's rank is the number of valid entries with a larger
+    similarity, plus the equal ones earlier in gallery order: its place in
+    a stable sort by descending similarity.
+    """
+    ranked = np.sort(sims[valid])
+    x = sims[positives]
+    above = np.searchsorted(ranked, x, side="right")
+    ranks = ranked.size - above
+    for i in np.flatnonzero(above - np.searchsorted(ranked, x, side="left") > 1):
+        p = positives[i]
+        ranks[i] += np.count_nonzero(sims[:p][valid[:p]] == x[i])
+    return np.sort(ranks)
+
+
+def _ap(ranks):
+    """Mean precision at the hits, from their ascending 0-based ranks."""
+    return float(((np.arange(ranks.size) + 1.0) / (ranks + 1.0)).mean())
+
+
+def _cmc(first_hits, max_rank):
+    """CMC[r-1] = fraction of 1-based first-hit ranks that are <= r."""
+    return np.array([np.mean(first_hits <= r) for r in range(1, max_rank + 1)])
 
 
 def average_precision(relevance):
     """AP over a ranked binary relevance list: mean precision at hits."""
-    rel = np.asarray(relevance, dtype=bool)
-    n_rel = int(rel.sum())
-    if n_rel == 0:
+    positions = np.flatnonzero(np.asarray(relevance, dtype=bool))
+    if positions.size == 0:
         raise ValueError("average_precision needs at least one relevant entry")
-    positions = np.nonzero(rel)[0]
-    precisions = (np.arange(n_rel) + 1.0) / (positions + 1.0)
-    return float(precisions.mean())
+    return _ap(positions)
 
 
 def cmc_curve(relevance_lists, max_rank):
     """CMC[r] = fraction of queries whose first hit is at rank <= r."""
     first_hits = []
     for rel in relevance_lists:
-        rel = np.asarray(rel, dtype=bool)
-        hits = np.nonzero(rel)[0]
+        hits = np.flatnonzero(np.asarray(rel, dtype=bool))
         if hits.size == 0:
             raise ValueError("cmc_curve: query without a valid positive")
         first_hits.append(hits[0] + 1)
-    first_hits = np.asarray(first_hits)
-    return np.array([np.mean(first_hits <= r) for r in range(1, max_rank + 1)])
+    return _cmc(np.asarray(first_hits), max_rank)
+
+
+def _feature_rows(split, feats, samples):
+    """Finite 2-d float64 features with exactly one row per sample."""
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != len(samples):
+        raise ValueError(
+            f"{split} features of shape {feats.shape} do not give one row "
+            f"to each of {len(samples)} samples"
+        )
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{split} features contain non-finite values")
+    return feats
 
 
 def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples, max_rank=10):
-    """Full protocol over precomputed features; ties broken by stable
-    gallery order."""
+    """Full protocol over precomputed features; equal similarities rank
+    in gallery order."""
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    query_feats = np.asarray(query_feats, dtype=np.float64)
-    gallery_feats = np.asarray(gallery_feats, dtype=np.float64)
+    query_feats = _feature_rows("query", query_feats, query_samples)
+    gallery_feats = _feature_rows("gallery", gallery_feats, gallery_samples)
     if query_feats.shape[1] != gallery_feats.shape[1]:
         raise ValueError("query and gallery feature dims differ")
     sims = pairwise_cosine(query_feats, gallery_feats)
+    gallery_ids, gallery_cams = _id_arrays(gallery_samples)
     per_query_ap = []
-    relevance_lists = []
-    skipped = 0
-    gallery_ids = np.array([s.vehicle_id for s in gallery_samples])
-    for qi, query in enumerate(query_samples):
-        valid = apply_protocol_filter(query, gallery_samples)
-        valid_pos = np.nonzero(valid)[0]
-        order = valid_pos[np.argsort(-sims[qi, valid_pos], kind="stable")]
-        rel = gallery_ids[order] == query.vehicle_id
-        if not rel.any():
-            skipped += 1
+    first_hits = []
+    for row, query in zip(sims, query_samples):
+        valid = ~_junk(query.vehicle_id, query.camera_id, gallery_ids, gallery_cams)
+        positives = np.flatnonzero(valid & (gallery_ids == query.vehicle_id))
+        if positives.size == 0:
             continue
-        per_query_ap.append(average_precision(rel))
-        relevance_lists.append(rel)
-    if not relevance_lists:
+        ranks = _positive_ranks(row, valid, positives)
+        per_query_ap.append(_ap(ranks))
+        first_hits.append(ranks[0] + 1)
+    if not first_hits:
         raise ValueError("all queries were skipped; nothing to evaluate")
+    first_hits = np.asarray(first_hits)
     max_rank = min(max_rank, len(gallery_samples))
     return EvalReport(
         map_score=float(np.mean(per_query_ap)),
-        cmc=cmc_curve(relevance_lists, max_rank),
+        cmc=_cmc(first_hits, max_rank),
         per_query_ap=per_query_ap,
-        skipped_queries=skipped,
+        skipped_queries=len(query_samples) - len(per_query_ap),
+        first_hit_ranks=first_hits,
         protocol={
             "junk_rule": "same_id_same_camera",
             "max_rank": max_rank,

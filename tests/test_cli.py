@@ -169,6 +169,14 @@ def test_train_divergence_streams_log_and_exits_2(capsys, tmp_path):
     assert err == "numerical failure: non-finite values produced by conv2d\n"
 
 
+def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "train", "--out", str(out_dir), "--set", "steps=-2")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not (out_dir / "config.json").exists()
+
+
 # the default config.json, as measured before the defaults moved into the
 # config dataclasses
 DEFAULT_CONFIG_JSON = """{

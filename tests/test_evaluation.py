@@ -1,9 +1,12 @@
 """Retrieval protocol: manifests, cosine similarity, junk filtering, AP,
 CMC, and the full report against an enumerated oracle."""
+import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lkareid.evaluation import (
     ManifestError,
@@ -342,3 +345,136 @@ def test_evaluate_from_feature_manifests(tmp_path):
     ])
     report = evaluate(load_manifest(q_path, "query"), load_manifest(g_path, "gallery"), max_rank=3)
     assert report.map_score == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+
+def _malformed(case):
+    """A 2 x 3 probe that scores, with one defect applied."""
+    q_feats = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    g_feats = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.0], [0.0, 0.5, 1.0]])
+    q_meta = [(0, 0), (1, 0)]
+    g_meta = [(0, 1), (1, 1), (0, 2)]
+    if case == "extra_query_row":
+        q_feats = np.vstack([q_feats, [0.0, 0.0, 1.0]])
+    elif case == "extra_gallery_row":
+        g_feats = np.vstack([g_feats, [1.0, 1.0, 1.0]])
+    elif case == "missing_query_row":
+        q_feats = q_feats[:1]
+    elif case == "missing_gallery_row":
+        g_feats = g_feats[:2]
+    elif case == "nan_gallery_feature":
+        g_feats[2, 0] = np.nan
+    elif case == "inf_query_feature":
+        q_feats[1, 2] = np.inf
+    elif case == "flat_query_features":
+        q_feats, q_meta = q_feats[0], q_meta[:1]
+    return q_feats, _samples(q_meta), g_feats, _samples(g_meta)
+
+
+@pytest.mark.parametrize("case", [
+    "extra_query_row", "extra_gallery_row", "missing_query_row", "missing_gallery_row",
+    "nan_gallery_feature", "inf_query_feature", "flat_query_features",
+])
+def test_evaluate_rejects_malformed_features(case):
+    with pytest.raises(ValueError, match="query|gallery"):
+        evaluate_features(*_malformed(case), max_rank=3)
+
+
+# ---------------------------------------------------------------------------
+# equal similarities: stable gallery order
+
+
+@pytest.mark.parametrize("order, want_first_hit", [
+    ([0, 1], 2),  # the equally similar distractor comes first
+    ([1, 0], 1),
+])
+def test_tied_similarities_rank_in_gallery_order(order, want_first_hit):
+    q_feats = np.array([[1.0, 0.0]])
+    g_feats = np.array([[2.0, 0.0], [1.0, 0.0]])[order]
+    g_meta = [[(1, 1), (0, 1)][i] for i in order]  # distractor, positive
+    sims = pairwise_cosine(q_feats, g_feats)
+    assert sims[0, 0] == sims[0, 1]
+    report = evaluate_features(q_feats, _samples([(0, 0)]), g_feats, _samples(g_meta), max_rank=2)
+    assert report.per_query_ap == [1.0 / want_first_hit]
+    assert report.first_hit_ranks.tolist() == [want_first_hit]
+    np.testing.assert_array_equal(report.cmc, [want_first_hit == 1, 1.0])
+    assert "first_hit_ranks" not in json.loads(report.to_json())
+
+
+# Feature rows from a palette whose cosines are exact in binary floating
+# point: one-hot and all-±1 directions in 4-d, scaled by powers of two.
+# Both the library and the oracle then compute identical similarities,
+# which take only five values, so ties are everywhere.
+_PALETTE = np.vstack([np.eye(4), -np.eye(4), list(itertools.product((-1.0, 1.0), repeat=4))])
+_SCALES = (0.5, 1.0, 2.0, 4.0)
+
+
+def _palette_rows(entries):
+    feats = np.array([_SCALES[scale] * _PALETTE[d] for d, scale, _, _ in entries])
+    return feats, [(vid, cam) for _, _, vid, cam in entries]
+
+
+_ENTRY = st.tuples(
+    st.integers(0, len(_PALETTE) - 1), st.integers(0, len(_SCALES) - 1),
+    st.integers(0, 3), st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    queries=st.lists(_ENTRY, min_size=1, max_size=5),
+    gallery=st.lists(_ENTRY, min_size=1, max_size=14),
+    max_rank=st.integers(1, 8),
+)
+def test_tie_heavy_sets_match_oracle(queries, gallery, max_rank):
+    q_feats, q_meta = _palette_rows(queries)
+    g_feats, g_meta = _palette_rows(gallery)
+    args = (q_feats, _samples(q_meta), g_feats, _samples(g_meta))
+    scored = [
+        qi for qi, (vid, cam) in enumerate(q_meta)
+        if any(g_vid == vid and g_cam != cam for g_vid, g_cam in g_meta)
+    ]
+    if not scored:
+        with pytest.raises(ValueError, match="skipped"):
+            evaluate_features(*args, max_rank=max_rank)
+        return
+    report = evaluate_features(*args, max_rank=max_rank)
+    want_map, want_cmc, want_skipped = retrieval_oracle(
+        q_feats, q_meta, g_feats, g_meta, max_rank=min(max_rank, len(g_meta))
+    )
+    assert report.skipped_queries == want_skipped
+    assert abs(report.map_score - want_map) <= 1e-12
+    np.testing.assert_allclose(report.cmc, want_cmc, rtol=0, atol=1e-12)
+    assert len(report.per_query_ap) == len(report.first_hit_ranks) == len(scored)
+    for qi, ap, first_hit in zip(scored, report.per_query_ap, report.first_hit_ranks):
+        one_ap, one_cmc, _ = retrieval_oracle(
+            q_feats[qi:qi + 1], q_meta[qi:qi + 1], g_feats, g_meta, max_rank=len(g_meta)
+        )
+        assert abs(ap - one_ap) <= 1e-12
+        assert first_hit == len(g_meta) + 1 - sum(one_cmc)
+
+
+# SHA-256 of the per-query AP and CMC float64 bytes on the seeded set below,
+# measured with the argsort ranking this module used before positive-only
+# ranks replaced it.
+TIE_HEAVY_DIGEST = "acc6dadb020dbae1b43d0c0375a728513279c2c8b0d7622577c16755fd6c7957"
+
+
+def test_tie_heavy_report_golden():
+    rng = np.random.default_rng(2024)
+
+    def entries(n, ids):
+        return list(zip(
+            rng.integers(0, len(_PALETTE), n).tolist(), rng.integers(0, len(_SCALES), n).tolist(),
+            rng.integers(0, ids, n).tolist(), rng.integers(0, 4, n).tolist(),
+        ))
+
+    q_feats, q_meta = _palette_rows(entries(60, 14))  # ids 12 and 13 are skipped
+    g_feats, g_meta = _palette_rows(entries(400, 12))
+    report = evaluate_features(q_feats, _samples(q_meta), g_feats, _samples(g_meta), max_rank=20)
+    blob = np.asarray(report.per_query_ap, dtype=np.float64).tobytes()
+    blob += np.asarray(report.cmc, dtype=np.float64).tobytes()
+    assert hashlib.sha256(blob).hexdigest() == TIE_HEAVY_DIGEST
