@@ -189,23 +189,21 @@ def cmd_train(args):
     return 0
 
 
-def _load_npy_images(samples):
-    images = []
+def _model_features(state, samples):
+    """Features of the samples' .npy images, loaded 32 at a time."""
     for s in samples:
         if s.path is None:
             raise ValueError("sample has no image path for model evaluation")
         if not s.path.endswith(".npy"):
             raise ValueError(f"unsupported image format for {s.path!r} (expected .npy)")
-        images.append(np.load(s.path))
-    return np.stack(images).astype(np.float32)
-
-
-def _model_features(state, samples):
     batch = 32
-    feats = []
-    images = _load_npy_images(samples)
-    for start in range(0, len(images), batch):
-        feats.append(extract_features(state, images[start : start + batch]).data)
+    feats, shape = [], None
+    for start in range(0, len(samples), batch):
+        images = np.stack([np.load(s.path) for s in samples[start : start + batch]])
+        if feats and images.shape[1:] != shape:
+            raise ValueError(f"images of shapes {shape} and {images.shape[1:]} in one manifest")
+        shape = images.shape[1:]
+        feats.append(extract_features(state, images.astype(np.float32)).data)
     return np.concatenate(feats, axis=0)
 
 

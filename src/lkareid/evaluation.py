@@ -7,6 +7,11 @@ skipped and counted, not scored zero.  Equal similarities rank in gallery
 order, as a stable sort by descending similarity would place them; only
 the positives' ranks are computed.  Features must be finite, 2-d, with
 exactly one row per sample.
+
+A manifest feature is a flat list of JSON numbers.  Each is converted and
+checked once, as its line is read, into the manifest's float64 feature
+matrix; any malformed line, undecodable bytes included, raises
+ManifestError with its line number.
 """
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ def _id(name, value):
     not coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    if value >= 2**63:
+        raise ValueError(f"{name} {value} does not fit in 64 bits")
     return int(value)
 
 
@@ -39,23 +46,19 @@ class Sample:
     camera_id: int
     view_id: int | None = None
     path: str | None = None
-    feature: np.ndarray | None = None
 
     def __post_init__(self):
         self.vehicle_id = _id("vehicle_id", self.vehicle_id)
         self.camera_id = _id("camera_id", self.camera_id)
         if self.view_id is not None:
             self.view_id = _id("view_id", self.view_id)
-        if self.feature is not None:
-            self.feature = np.asarray(self.feature, dtype=np.float64)
-            if not np.all(np.isfinite(self.feature)):
-                raise ValueError("sample feature contains non-finite values")
 
 
 @dataclass
 class Manifest:
     split: str
     samples: list
+    feature_matrix: np.ndarray | None = None  # float64, one row per sample
 
     def __post_init__(self):
         if self.split not in ("query", "gallery", "train"):
@@ -64,10 +67,9 @@ class Manifest:
             raise ValueError("manifest must not be empty")
 
     def features(self):
-        feats = [s.feature for s in self.samples]
-        if any(f is None for f in feats):
+        if self.feature_matrix is None:
             raise ValueError("manifest has samples without precomputed features")
-        return np.stack(feats)
+        return self.feature_matrix
 
 
 @dataclass
@@ -106,69 +108,69 @@ def parse_veri_name(name):
     return int(m.group(1)), int(m.group(2))
 
 
+def _feature_row(feature, first_row):
+    """A finite row of JSON numbers, as long as first_row if one is given."""
+    row = np.asarray(feature)
+    if row.ndim != 1:
+        raise ValueError("feature must be a flat vector")
+    # numpy reads JSON true/false among numbers as 1/0, so look for them where a value is 0 or 1
+    if row.dtype.kind not in "iuf" or ((row == row.astype(bool)).any() and bool in map(type, feature)):
+        raise ValueError("feature values must be JSON numbers")
+    if first_row is not None and row.size != first_row.size:
+        raise ValueError(f"feature dim {row.size} != {first_row.size}")
+    if not np.isfinite(row).all():
+        raise ValueError("sample feature contains non-finite values")
+    return row
+
+
+def _parse_record(record, seen_paths, rows):
+    """The Sample of one decoded record; its feature row goes to rows."""
+    if not isinstance(record, dict):
+        raise ValueError("record must be a JSON object")
+    rec_path = record.get("path")
+    feature = record.get("feature")
+    if rec_path is None and feature is None:
+        raise ValueError("record needs 'path' or 'feature'")
+    if rec_path is not None:
+        if not isinstance(rec_path, str):
+            raise ValueError("path must be a string")
+        if rec_path in seen_paths:
+            raise ValueError(f"duplicate path {rec_path!r}")
+        seen_paths.add(rec_path)
+    if "vehicle_id" in record and "camera_id" in record:
+        vid, cam = record["vehicle_id"], record["camera_id"]
+    elif rec_path is None:
+        raise ValueError("a record without a path needs vehicle_id and camera_id")
+    else:
+        vid, cam = parse_veri_name(rec_path)
+    sample = Sample(vid, cam, record.get("view_id"), rec_path)
+    if feature is not None:
+        rows.append(_feature_row(feature, rows[0] if rows else None))
+    return sample
+
+
 def load_manifest(path, split="gallery"):
-    """Line-delimited JSON records with path|feature, vehicle_id,
+    """Line-delimited UTF-8 JSON records with path|feature, vehicle_id,
     camera_id, and optional view_id; ids missing from a record are parsed
     from a VeRi-style filename.  Ids must be non-negative JSON integers
-    (view_id may also be null)."""
-    samples = []
-    seen_paths = set()
-    feature_dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    (view_id may also be null).  Features are stacked into the manifest's
+    float64 matrix when every record has one.  Any defect in a line
+    raises ManifestError naming the file and line."""
+    samples, rows, seen_paths = [], [], set()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ManifestError(f"{path}:{lineno}: record must be a JSON object")
-            rec_path = record.get("path")
-            feature = record.get("feature")
-            if rec_path is None and feature is None:
-                raise ManifestError(f"{path}:{lineno}: record needs 'path' or 'feature'")
-            if rec_path is not None:
-                if not isinstance(rec_path, str):
-                    raise ManifestError(f"{path}:{lineno}: path must be a string")
-                if rec_path in seen_paths:
-                    raise ManifestError(f"{path}:{lineno}: duplicate path {rec_path!r}")
-                seen_paths.add(rec_path)
-            try:
-                if "vehicle_id" in record and "camera_id" in record:
-                    vid, cam = record["vehicle_id"], record["camera_id"]
-                elif rec_path is None:
-                    raise ValueError("a record without a path needs vehicle_id and camera_id")
-                else:
-                    vid, cam = parse_veri_name(rec_path)
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-            if feature is not None:
-                feature = np.asarray(feature, dtype=np.float64)
-                if feature.ndim != 1:
-                    raise ManifestError(f"{path}:{lineno}: feature must be a flat vector")
-                if feature_dim is None:
-                    feature_dim = feature.size
-                elif feature.size != feature_dim:
-                    raise ManifestError(
-                        f"{path}:{lineno}: feature dim {feature.size} != {feature_dim}"
-                    )
-            try:
-                samples.append(
-                    Sample(
-                        vehicle_id=vid,
-                        camera_id=cam,
-                        view_id=record.get("view_id"),
-                        path=rec_path,
-                        feature=feature,
-                    )
-                )
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                samples.append(_parse_record(json.loads(line), seen_paths, rows))
+            except (ValueError, TypeError, RecursionError) as exc:
+                reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+                raise ManifestError(f"{path}:{lineno}: {reason}") from exc
     if not samples:
         raise ManifestError(f"{path}: manifest is empty")
-    return Manifest(split=split, samples=samples)
+    matrix = np.stack(rows, dtype=np.float64) if len(rows) == len(samples) else None
+    return Manifest(split, samples, matrix)
 
 
 def pairwise_cosine(queries, gallery):

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lkareid import cli, verify
 from lkareid import tensor as T
 from lkareid.cli import main, resolve_train_config
+from lkareid.evaluation import ManifestError, load_manifest
 from lkareid.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from lkareid.training import SyntheticDatasetSpec, TrainConfig
 
@@ -311,6 +313,60 @@ def test_eval_float_vehicle_id_exits_1(capsys, tmp_path):
     assert "vehicle_id" in err and "Traceback" not in err
 
 
+def test_eval_object_feature_exits_1_with_one_error_line(capsys, tmp_path):
+    _, g_path = _write_feature_manifests(tmp_path)
+    q_path = tmp_path / "bad.jsonl"
+    q_path.write_text(json.dumps({"feature": {"x": 1}, "vehicle_id": 3, "camera_id": 0}) + "\n")
+    code, _, err = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    assert code == 1
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {q_path}:1: ") and "Traceback" not in err
+
+
+# three feature records that `lkareid eval` scores against themselves
+_FUZZ_MANIFEST = "".join(
+    json.dumps({"path": f"m{i}.npy", "feature": feature, "vehicle_id": vid, "camera_id": cam}) + "\n"
+    for i, (feature, vid, cam) in enumerate([([0.6, 0.8], 0, 0), ([0.8, 0.6], 0, 1), ([1.0, 0.0], 1, 1)])
+).encode()
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "delete", "truncate"]),
+        st.integers(0, len(_FUZZ_MANIFEST)),
+        st.integers(1, 255),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _edit(blob, edits):
+    """Apply byte flips (xor), deletions of up to 8 bytes and truncations."""
+    out = bytearray(blob)
+    for kind, pos, arg in edits:
+        pos %= max(len(out), 1)
+        if kind == "flip" and out:
+            out[pos] ^= arg
+        elif kind == "delete":
+            del out[pos : pos + 1 + arg % 8]
+        else:
+            del out[pos:]
+    return bytes(out)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_mutated_manifest_loads_or_is_manifest_error(capsys, tmp_path, edits):
+    path = tmp_path / "mutant.jsonl"
+    path.write_bytes(_edit(_FUZZ_MANIFEST, edits))
+    try:
+        load_manifest(path, split="query")
+    except ManifestError:
+        pass
+    code, _, err = run_cli(capsys, "eval", "--query", str(path), "--gallery", str(path))
+    assert code in (0, 1) and "Traceback" not in err
+
+
 def test_eval_with_checkpoint(capsys, tmp_path):
     out_dir = tmp_path / "run"
     run_cli(capsys, *_fast_train_args(out_dir))
@@ -349,6 +405,27 @@ def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "stem.0.weight" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_images_of_two_shapes_exit_1(capsys, tmp_path):
+    """Images load one batch of 32 at a time; a shape change in a later
+    batch is still rejected, as it is within one batch."""
+    ckpt = tmp_path / "m.lkar"
+    cfg = ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2)
+    save_checkpoint(build_model(cfg, 0), ckpt)
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(33):
+        image = tmp_path / f"{i}.npy"
+        np.save(image, rng.uniform(0.0, 1.0, (3, 20 if i == 32 else 16, 16)).astype(np.float32))
+        records.append({"path": str(image), "vehicle_id": i % 3, "camera_id": i % 2})
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, _, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1
+    assert "shape" in err and "Traceback" not in err
 
 
 def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):

@@ -135,6 +135,81 @@ def test_load_manifest_keeps_integer_ids(tmp_path):
     assert Sample(np.int64(5), np.int32(2)).vehicle_id == 5
 
 
+def test_load_manifest_rejects_ids_beyond_64_bits(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"feature": [1.0, 0.0], "vehicle_id": 1, "camera_id": 0},
+        {"feature": [1.0, 0.0], "vehicle_id": 2**63, "camera_id": 1},
+    ])
+    with pytest.raises(ManifestError, match=":2:.*64 bits"):
+        load_manifest(path, split="query")
+
+
+_GOOD_LINE = '{"feature": [0.5, 0.5], "vehicle_id": 1, "camera_id": 0}'
+
+# JSON text of a line-2 feature that load_manifest must reject
+BAD_FEATURES = {
+    "object": '{"x": 1}',
+    "string": '"0.5, 0.5"',
+    "number": "0.5",
+    "ragged": "[[0.5], [0.5, 0.5]]",
+    "nested": "[[0.5, 0.5]]",
+    "string_value": '[0.5, "a"]',
+    "numeric_string_value": '[0.5, "0.5"]',
+    "true_value": "[0.5, true]",
+    "bool_values": "[false, true]",
+    "null_value": "[0.5, null]",
+    "nan_value": "[0.5, NaN]",
+    "inf_value": "[0.5, 1e999]",
+    "huge_int": "[0.5, 1" + "0" * 400 + "]",
+    "wrong_dim": "[0.5, 0.5, 0.5]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FEATURES))
+def test_load_manifest_rejects_malformed_features(tmp_path, case):
+    path = tmp_path / "m.jsonl"
+    bad = f'{{"feature": {BAD_FEATURES[case]}, "vehicle_id": 2, "camera_id": 1}}'
+    path.write_text(f"{_GOOD_LINE}\n{bad}\n")
+    with pytest.raises(ManifestError, match=":2:"):
+        load_manifest(path, split="query")
+
+
+@pytest.mark.parametrize("line", [
+    b'{"path": "\xff.npy", "vehicle_id": 2, "camera_id": 1}',
+    b"[" * 100000,
+], ids=["non_utf8", "deep_nesting"])
+def test_load_manifest_rejects_undecodable_lines(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(_GOOD_LINE.encode() + b"\n" + line + b"\n")
+    with pytest.raises(ManifestError, match=":2:"):
+        load_manifest(path, split="query")
+
+
+def test_manifest_features_are_one_float64_matrix(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"feature": [1, 0], "vehicle_id": 1, "camera_id": 0},
+        {"feature": [0.5, -2.5], "vehicle_id": 2, "camera_id": 1},
+    ])
+    man = load_manifest(path, split="query")
+    feats = man.features()
+    assert feats.dtype == np.float64
+    assert np.array_equal(feats, [[1.0, 0.0], [0.5, -2.5]])
+    assert not hasattr(man.samples[0], "feature")
+
+
+def test_manifest_features_need_a_feature_on_every_record(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"feature": [1.0, 0.0], "vehicle_id": 1, "camera_id": 0, "path": "a"},
+        {"path": "b", "vehicle_id": 2, "camera_id": 1},
+    ])
+    man = load_manifest(path, split="query")
+    with pytest.raises(ValueError, match="without precomputed features"):
+        man.features()
+
+
 # ---------------------------------------------------------------------------
 # cosine similarity
 

@@ -12,6 +12,7 @@ from lkareid.attention import count_params_flops
 from lkareid.model import (
     CheckpointError,
     ModelConfig,
+    ModelState,
     build_model,
     extract_features,
     forward_train,
@@ -176,6 +177,29 @@ def test_extract_features_batch_equivariance():
     feats = extract_features(state, images).data
     perm = np.array([2, 0, 3, 1])
     np.testing.assert_allclose(extract_features(state, images[perm]).data, feats[perm], atol=1e-6)
+
+
+def test_float32_forward_agrees_with_float64():
+    """The float32 training and inference paths against the same
+    parameters cast to float64.  Measured max abs differences are 7.9e-8
+    on features and <= 4e-9 on embeddings and logits; 1e-5 leaves over
+    100x margin for a change of float32 summation order."""
+    state32 = build_model(ModelConfig(num_identities=16), 0)
+    params64 = {k: Tensor(t.data.astype(np.float64), requires_grad=True) for k, t in state32.params.items()}
+    state64 = ModelState(state32.config, params64)
+    images = rand_images(np.random.default_rng(0), batch=16, size=48)
+    feats32 = extract_features(state32, images).data
+    feats64 = extract_features(state64, images.astype(np.float64)).data
+    assert feats32.dtype == np.float32 and feats64.dtype == np.float64
+    np.testing.assert_allclose(feats32, feats64, rtol=0, atol=1e-5)
+    cams, views = np.arange(16) % 4, np.arange(16) % 2
+    out32 = forward_train(state32, images, cams, views)
+    out64 = forward_train(state64, images.astype(np.float64), cams, views)
+    for a, b in zip(out32, out64):
+        np.testing.assert_allclose(a.embedding.data, b.embedding.data, rtol=0, atol=1e-5)
+        if a.logits is not None:
+            np.testing.assert_allclose(a.logits.data, b.logits.data, rtol=0, atol=1e-5)
+    assert sum(o.logits is not None for o in out32) == 2
 
 
 def test_extract_features_matches_per_branch_composition():
