@@ -5,7 +5,6 @@ and HCA attention blocks, the four-branch network with its losses and PK
 sampling, and a complete mAP/CMC retrieval evaluation harness.
 """
 from .attention import (
-    Decomposition,
     HcaConfig,
     LkaConfig,
     count_params_flops,
@@ -49,7 +48,6 @@ from .training import (
 __all__ = [
     "BranchOutput",
     "Conv2dSpec",
-    "Decomposition",
     "EvalReport",
     "HcaConfig",
     "LkaConfig",

@@ -21,7 +21,9 @@ from .tensor import Conv2dSpec, Tensor
 
 @dataclass(frozen=True)
 class LkaConfig:
-    """Channels plus the (K, d) pair driving the kernel decomposition."""
+    """Channels plus the (K, d) pair driving the kernel decomposition.
+    Parameter counts are weights only; the depthwise-full variant is a K x K
+    depthwise conv plus the same 1x1 mixing, so all three mix channels."""
 
     channels: int
     kernel: int = 7
@@ -42,6 +44,22 @@ class LkaConfig:
     @property
     def dd_kernel(self):
         return math.ceil(self.kernel / self.dilation)
+
+    @property
+    def receptive_field(self):
+        return (self.dd_kernel - 1) * self.dilation + self.dw_kernel
+
+    @property
+    def params_decomposed(self):
+        return self.channels * (self.dw_kernel**2 + self.dd_kernel**2 + self.channels)
+
+    @property
+    def params_depthwise_full(self):
+        return self.channels * self.kernel**2 + self.channels**2
+
+    @property
+    def params_full_conv(self):
+        return self.channels**2 * self.kernel**2
 
 
 @dataclass(frozen=True)
@@ -66,37 +84,10 @@ class HcaConfig:
         return eca_kernel_size(self.channels, self.gamma, self.b)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Kernel sizes, receptive field, and cost accounting for one (K, d)."""
-
-    dw_kernel: int
-    dd_kernel: int
-    dilation: int
-    receptive_field: int
-    params_decomposed: int
-    params_depthwise_full: int
-    params_full_conv: int
-
-
 def decompose_large_kernel(kernel, dilation, channels=1):
-    """Split a K x K conv into the depthwise / dilated-depthwise / 1x1 triple.
-
-    Parameter counts are weights only.  The depthwise-full comparison point
-    is a K x K depthwise conv followed by the same 1x1 channel mixing, so
-    all three variants produce a channel-mixed output.
-    """
-    cfg = LkaConfig(channels, kernel, dilation)
-    c, dw, dd = channels, cfg.dw_kernel, cfg.dd_kernel
-    return Decomposition(
-        dw_kernel=dw,
-        dd_kernel=dd,
-        dilation=dilation,
-        receptive_field=(dd - 1) * dilation + dw,
-        params_decomposed=c * dw * dw + c * dd * dd + c * c,
-        params_depthwise_full=c * kernel * kernel + c * c,
-        params_full_conv=c * c * kernel * kernel,
-    )
+    """Split a K x K conv into the depthwise / dilated-depthwise / 1x1 triple:
+    the block's LkaConfig, which also gives its receptive field and costs."""
+    return LkaConfig(channels, kernel, dilation)
 
 
 def eca_kernel_size(channels, gamma=HcaConfig.gamma, b=HcaConfig.b):
@@ -239,11 +230,9 @@ def hca_forward(x, params, cfg):
 # cost accounting
 
 
-def _conv_flops(spec, h, w, n=1):
-    oh, ow = spec.out_size(h, w)
-    kh, kw = spec.kernel
-    macs = spec.out_channels * (spec.in_channels // spec.groups) * kh * kw * oh * ow * n
-    return 2 * macs
+def param_count(shapes):
+    """Total element count of (name, shape, init) parameter entries."""
+    return sum(int(np.prod(s)) for _, s, _ in shapes)
 
 
 def lka_params_flops(cfg, input_shape):
@@ -251,11 +240,10 @@ def lka_params_flops(cfg, input_shape):
     n, c, h, w = input_shape
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")
-    params = sum(int(np.prod(s)) for _, s, _ in lka_param_shapes(cfg))
-    flops = sum(_conv_flops(spec, h, w, n) for _, spec in lka_convs(cfg))
+    flops = sum(spec.flops(h, w, n) for _, spec in lka_convs(cfg))
     # gelu, gate multiply, residual add: one flop per element each
     flops += 3 * n * c * h * w
-    return params, flops
+    return param_count(lka_param_shapes(cfg)), flops
 
 
 def hca_params_flops(cfg, input_shape):
@@ -264,13 +252,12 @@ def hca_params_flops(cfg, input_shape):
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")
     ks, k = cfg.local_grid, cfg.conv1d_kernel
-    params = sum(int(np.prod(s)) for _, s, _ in hca_param_shapes(cfg))
     flops = n * c * h * w  # local average pooling reads each input once
     flops += n * c * ks * ks  # GAP over the pooled grid
     flops += 2 * k * c * n  # global-branch conv1d
     flops += 2 * k * c * ks * ks * n  # local-branch conv1d
     flops += 3 * n * c * h * w  # fuse add, sigmoid, gate multiply
-    return params, flops
+    return param_count(hca_param_shapes(cfg)), flops
 
 
 @singledispatch

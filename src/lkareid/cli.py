@@ -1,8 +1,10 @@
 """Command-line entry point: inspect, gradcheck, train, eval.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.  Every
-subcommand honors --seed and is bit-reproducible single-threaded; train
-and eval echo their resolved configuration into the output directory.
+Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+gradcheck and train take --seed, and every subcommand is bit-reproducible
+single-threaded.  train writes its resolved configuration, step log and
+checkpoint into --out; eval prints its report and, given --out, writes it
+there too.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import HcaConfig, LkaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
+from .attention import HcaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
 from .evaluation import evaluate, evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
 from .tensor import NumericsError
@@ -24,8 +26,7 @@ from .verify import TOLERANCE, run_gradcheck
 def cmd_inspect(args):
     dec = decompose_large_kernel(args.K, args.d, channels=args.C)
     k1d = eca_kernel_size(args.C, args.gamma, args.b)
-    lka_cfg = LkaConfig(args.C, args.K, args.d)
-    _, flops = count_params_flops(lka_cfg, (1, args.C, args.H, args.W))
+    _, flops = count_params_flops(dec, (1, args.C, args.H, args.W))
     payload = {
         "kernel": args.K,
         "dilation": dec.dilation,

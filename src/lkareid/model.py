@@ -24,7 +24,6 @@ from .attention import (
     _ZEROS,
     HcaConfig,
     LkaConfig,
-    _conv_flops,
     _weight_bias,
     count_params_flops,
     hca_forward,
@@ -32,6 +31,7 @@ from .attention import (
     init_params,
     lka_forward,
     lka_param_shapes,
+    param_count,
 )
 from .tensor import Conv2dSpec, Tensor
 
@@ -302,7 +302,7 @@ def _layers_flops(layers, shape):
         n, c, h, w = shape
         if layer.op == "conv":
             oh, ow = layer.spec.out_size(h, w)
-            flops += _conv_flops(layer.spec, h, w, n) + layer.spec.out_channels * oh * ow * n
+            flops += layer.spec.flops(h, w, n) + layer.spec.out_channels * oh * ow * n
             shape = (n, layer.spec.out_channels, oh, ow)
         elif layer.op in ("lka", "hca"):
             flops += count_params_flops(layer.spec, shape)[1]
@@ -322,7 +322,6 @@ def model_params_flops(cfg, input_shape):
     if input_shape[1] != 3:
         raise ValueError("model input must have 3 channels")
     plan = layer_plan(cfg)
-    params = sum(int(np.prod(s)) for _, s, _ in parameter_shapes(cfg))
     flops, stem_out = 0, {}
     for stem, layers in plan.stems:
         stem_flops, stem_out[stem] = _layers_flops(layers, input_shape)
@@ -333,7 +332,7 @@ def model_params_flops(cfg, input_shape):
         flops += branch_flops
         if br in heads:
             flops += _layers_flops((heads[br],), emb_shape)[0]
-    return params, flops
+    return param_count(parameter_shapes(cfg)), flops
 
 
 # ---------------------------------------------------------------------------

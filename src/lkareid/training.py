@@ -99,7 +99,6 @@ def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothi
     nll = -logp[np.arange(batch), labels]
     if label_smoothing:
         nll = (1.0 - label_smoothing) * nll + label_smoothing * (-logp.mean(axis=1))
-    out = T._node(np.asarray(nll.mean()), [logits], "cross_entropy")
 
     def _bw():
         target = np.zeros_like(z)
@@ -109,7 +108,7 @@ def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothi
         softmax = np.exp(logp)
         T._accum(logits, float(out.grad) * (softmax - target) / batch)
 
-    out._backward = _bw
+    out = T._node(np.asarray(nll.mean()), [logits], "cross_entropy", _bw)
     return out
 
 
@@ -137,7 +136,6 @@ def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
     d_neg = dist[np.arange(batch), neg_idx]
     viol = d_pos - d_neg + margin
     loss_val = np.maximum(viol, 0.0).mean()
-    out = T._node(np.asarray(loss_val, dtype=x.dtype), [embeddings], "batch_hard_triplet")
 
     def _bw():
         g = float(out.grad) / batch
@@ -155,7 +153,7 @@ def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
                 dx[nx] += g * v
         T._accum(embeddings, dx)
 
-    out._backward = _bw
+    out = T._node(np.asarray(loss_val, dtype=x.dtype), [embeddings], "batch_hard_triplet", _bw)
     return out
 
 
@@ -215,26 +213,21 @@ def _camera_transform(img, camera, rng):
     return np.clip(out, 0.0, 1.0)
 
 
-def synth_image(spec, identity, index):
-    """One deterministic sample: (image, camera_id, view_id)."""
-    camera = index % spec.num_cameras
-    view = (index // spec.num_cameras) % spec.num_views
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 11, identity, index]))
-    img = _camera_transform(_identity_pattern(spec, identity), camera, rng)
-    if view == 1:
-        img = img[:, :, ::-1]
-    return img.astype(np.float32), camera, view
-
-
 def synth_generate(spec):
     """The full dataset, fully determined by ``SyntheticDatasetSpec.seed``."""
     images, labels, cameras, views = [], [], [], []
     for identity in range(spec.num_identities):
+        pattern = _identity_pattern(spec, identity)
         for index in range(spec.images_per_identity):
-            img, cam, view = synth_image(spec, identity, index)
-            images.append(img)
+            camera = index % spec.num_cameras
+            view = (index // spec.num_cameras) % spec.num_views
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 11, identity, index]))
+            img = _camera_transform(pattern, camera, rng)
+            if view == 1:
+                img = img[:, :, ::-1]
+            images.append(img.astype(np.float32))
             labels.append(identity)
-            cameras.append(cam)
+            cameras.append(camera)
             views.append(view)
     return SynthData(
         images=np.stack(images),
@@ -290,8 +283,10 @@ class Optimizer:
                 p.data -= (self.cfg.lr * v).astype(p.dtype, copy=False)
             else:  # adam
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                m = slot.get("m", np.zeros_like(g)) * b1 + (1 - b1) * g
-                v = slot.get("v", np.zeros_like(g)) * b2 + (1 - b2) * g * g
+                if not slot:
+                    slot["m"], slot["v"] = np.zeros_like(g), np.zeros_like(g)
+                m = slot["m"] * b1 + (1 - b1) * g
+                v = slot["v"] * b2 + (1 - b2) * g * g
                 slot["m"], slot["v"] = m, v
                 mh = m / (1 - b1**self.t)
                 vh = v / (1 - b2**self.t)

@@ -86,6 +86,10 @@ def test_param_counts_21_3_256():
     assert d.params_full_conv == 256 * 256 * 441 == 28901376
 
 
+def test_decompose_is_the_block_config():
+    assert decompose_large_kernel(21, 3, channels=256) == LkaConfig(256, 21, 3)
+
+
 # ---------------------------------------------------------------------------
 # eca kernel size
 
@@ -258,6 +262,14 @@ def test_hca_cost_accounting_params():
     params, flops = count_params_flops(cfg, (1, 64, 10, 10))
     assert params == 2 * cfg.conv1d_kernel + 2  # two kernels, two biases
     assert flops > 0
+
+
+@pytest.mark.parametrize("cfg,shape,cost", [
+    (LkaConfig(16, 21, 3), (2, 16, 24, 24), (2032, 4552704)),
+    (HcaConfig(64), (2, 64, 10, 11), (12, 92800)),
+])
+def test_block_cost_golden(cfg, shape, cost):
+    assert count_params_flops(cfg, shape) == cost
 
 
 def test_count_params_flops_rejects_unknown_config():

@@ -80,12 +80,11 @@ def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
     def off_by_one_percent(x, params, cfg):
         # the real block, then an identity whose backward scales by 1.01
         y = forward(x, params, cfg)
-        out = T._node(y.data.copy(), [y], "bad_scale")
 
         def _bw():
             T._accum(y, 1.01 * out.grad)
 
-        out._backward = _bw
+        out = T._node(y.data.copy(), [y], "bad_scale", _bw)
         return out
 
     monkeypatch.setitem(verify._BLOCKS, "hca", (cfg, hw, param_shapes, off_by_one_percent))

@@ -306,6 +306,26 @@ def test_backward_accumulates_across_uses():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+_SPEC_3X3 = Conv2dSpec(2, 2, (3, 3), padding=1, has_bias=False)
+_GRAPH_OPS = {
+    "add": lambda x, w: T.add(x, w),
+    "gelu": lambda x, w: T.gelu(x),
+    "conv2d": lambda x, w: T.conv2d(x, w, None, _SPEC_3X3),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_GRAPH_OPS))
+def test_node_links_graph_only_when_an_input_requires_grad(op):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 2, 3, 3)))
+    w = Tensor(rng.normal(size=_SPEC_3X3.weight_shape() if op == "conv2d" else x.shape))
+    out = _GRAPH_OPS[op](x, w)
+    assert out._backward is None and out._prev == () and not out.requires_grad
+    x.requires_grad = True
+    out = _GRAPH_OPS[op](x, w)
+    assert out._backward is not None and x in out._prev and out.requires_grad
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
