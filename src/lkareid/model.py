@@ -284,8 +284,10 @@ def forward_train(state, images, camera_ids, view_ids):
 
 def extract_features(state, images):
     """Inference features: L1 | L2 | H1 | H2 concatenation, L2-normalized
-    per row.  Metadata never enters this path."""
-    embeddings = _branch_embeddings(state, images)
+    per row.  Metadata never enters this path.  The forward runs on views of
+    the parameters that need no gradient, so it builds and keeps no graph."""
+    frozen = ModelState(state.config, {name: Tensor(p.data) for name, p in state.params.items()})
+    embeddings = _branch_embeddings(frozen, images)
     joined = T.concat([embeddings[br] for br in BRANCHES], axis=1)
     return T.l2_normalize(joined, axis=1)
 

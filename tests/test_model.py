@@ -171,6 +171,14 @@ def test_extract_features_unit_rows_and_dim():
     np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-6)
 
 
+def test_extract_features_keeps_no_graph():
+    """Nothing of an inference forward waits for the cycle collector."""
+    state = build_model(tiny_cfg(), 0)
+    out = extract_features(state, rand_images(np.random.default_rng(7), batch=2))
+    assert not out.requires_grad and out._backward is None and out._prev == ()
+    assert all(p.requires_grad for p in state.params.values())
+
+
 def test_extract_features_batch_equivariance():
     state = build_model(tiny_cfg(), 0)
     images = rand_images(np.random.default_rng(6), batch=4)
