@@ -91,9 +91,6 @@ class ModelState:
     config: ModelConfig
     params: dict  # name -> Tensor, insertion-ordered
 
-    def num_params(self):
-        return sum(t.size for t in self.params.values())
-
 
 @dataclass
 class BranchOutput:

@@ -176,13 +176,11 @@ def _wrap(x, dtype):
 
 def _node(data, parents, op_name, backward):
     """An op's output.  If a parent requires gradients, link the parents and
-    keep `backward`, the op's closure that adds `out.grad` into them.
+    keep `backward`, the op's closure that adds the output's gradient, its
+    one argument, into them.
 
-    Each closure reads `out.grad` through its own reference to the output, a
-    cycle that the garbage collector frees later.  Taking the gradient as an
-    argument frees graphs at once but measured slower from the memory churn:
-    181 vs 154 ms per `extract_features` batch of 32, and 187-200 vs 139-154
-    ms extract-gallery benchmark p50.
+    No closure refers to its own output, so a graph is freed as soon as
+    its last reference goes.
     """
     _check_finite(data, op_name)
     out = Tensor(data)
@@ -238,7 +236,7 @@ def backward(loss):
     loss.grad += np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +246,21 @@ def backward(loss):
 def add(a, b):
     b = _wrap(b, a.dtype)
 
-    def _bw():
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(out.grad, b.shape))
+    def _bw(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
 
-    out = _node(a.data + b.data, [a, b], "add", _bw)
-    return out
+    return _node(a.data + b.data, [a, b], "add", _bw)
 
 
 def mul(a, b):
     b = _wrap(b, a.dtype)
 
-    def _bw():
-        _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.shape))
+    def _bw(g):
+        _accum(a, _unbroadcast(g * b.data, a.shape))
+        _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    out = _node(a.data * b.data, [a, b], "mul", _bw)
-    return out
+    return _node(a.data * b.data, [a, b], "mul", _bw)
 
 
 def matmul(a, b):
@@ -273,53 +269,48 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
-    def _bw():
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
+    def _bw(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
-    out = _node(a.data @ b.data, [a, b], "matmul", _bw)
-    return out
+    return _node(a.data @ b.data, [a, b], "matmul", _bw)
 
 
 def tsum(x):
     """Sum of every element, as a 0-d tensor."""
 
-    def _bw():
-        _accum(x, np.broadcast_to(out.grad, x.shape))
+    def _bw(g):
+        _accum(x, np.broadcast_to(g, x.shape))
 
-    out = _node(x.data.sum(), [x], "sum", _bw)
-    return out
+    return _node(x.data.sum(), [x], "sum", _bw)
 
 
 def reshape(x, shape):
-    def _bw():
-        _accum(x, out.grad.reshape(x.shape))
+    def _bw(g):
+        _accum(x, g.reshape(x.shape))
 
-    out = _node(x.data.reshape(shape), [x], "reshape", _bw)
-    return out
+    return _node(x.data.reshape(shape), [x], "reshape", _bw)
 
 
 def transpose(x, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def _bw():
-        _accum(x, out.grad.transpose(inv))
+    def _bw(g):
+        _accum(x, g.transpose(inv))
 
-    out = _node(np.ascontiguousarray(x.data.transpose(axes)), [x], "transpose", _bw)
-    return out
+    return _node(np.ascontiguousarray(x.data.transpose(axes)), [x], "transpose", _bw)
 
 
 def concat(tensors, axis):
     tensors = list(tensors)
 
-    def _bw():
+    def _bw(g):
         splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
-            _accum(t, g)
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+            _accum(t, part)
 
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", _bw)
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", _bw)
 
 
 def gather_rows(table, indices):
@@ -330,35 +321,32 @@ def gather_rows(table, indices):
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.shape[0]):
         raise ValueError("index out of range for embedding table")
 
-    def _bw():
-        g = np.zeros_like(table.data)
-        np.add.at(g, idx, out.grad)
-        _accum(table, g)
+    def _bw(g):
+        dtable = np.zeros_like(table.data)
+        np.add.at(dtable, idx, g)
+        _accum(table, dtable)
 
-    out = _node(table.data[idx], [table], "gather_rows", _bw)
-    return out
+    return _node(table.data[idx], [table], "gather_rows", _bw)
 
 
 def gelu(x):
     """Exact Gaussian-CDF GELU (not the tanh approximation)."""
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
 
-    def _bw():
+    def _bw(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accum(x, out.grad * (cdf + x.data * pdf))
+        _accum(x, g * (cdf + x.data * pdf))
 
-    out = _node(x.data * cdf, [x], "gelu", _bw)
-    return out
+    return _node(x.data * cdf, [x], "gelu", _bw)
 
 
 def sigmoid(x):
     s = expit(x.data)
 
-    def _bw():
-        _accum(x, out.grad * s * (1.0 - s))
+    def _bw(g):
+        _accum(x, g * s * (1.0 - s))
 
-    out = _node(s, [x], "sigmoid", _bw)
-    return out
+    return _node(s, [x], "sigmoid", _bw)
 
 
 def l2_normalize(x, axis):
@@ -367,13 +355,11 @@ def l2_normalize(x, axis):
         raise NumericsError("l2_normalize: zero-norm slice")
     y = x.data / norm
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         proj = (g * x.data).sum(axis=axis, keepdims=True)
         _accum(x, g / norm - x.data * (proj / norm**3))
 
-    out = _node(y, [x], "l2_normalize", _bw)
-    return out
+    return _node(y, [x], "l2_normalize", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +460,8 @@ def conv2d(x, weight, bias, spec):
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
-    def _bw():
-        doutg = out.grad.reshape(n, groups, ocpg, oh * ow)
+    def _bw(g):
+        doutg = g.reshape(n, groups, ocpg, oh * ow)
         if weight.requires_grad:
             cols = colsg if colsg is not None else _im2col(xp, taps).reshape(n, groups, kh * kw, oh * ow)
             dw = np.matmul(doutg, cols.swapaxes(2, 3)).sum(axis=0)
@@ -483,21 +469,20 @@ def conv2d(x, weight, bias, spec):
         if x.requires_grad:
             # Scatter each tap's column gradient back in tap order.
             if depthwise:
-                g = np.ascontiguousarray(out.grad.transpose(2, 3, 0, 1))
-                dtaps = (g * wt[:, t] for t in range(kh * kw))
+                g_cl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))
+                dtaps = (g_cl * wt[:, t] for t in range(kh * kw))
             else:
                 dcols = np.matmul(wg.swapaxes(1, 2), doutg)
                 dtaps = dcols.reshape(n, c, kh * kw, oh, ow).transpose(2, 3, 4, 0, 1)
-            dxp = np.zeros(pad_shape, dtype=np.result_type(wg, out.grad))
+            dxp = np.zeros(pad_shape, dtype=np.result_type(wg, g))
             for tap, d in zip(taps, dtaps):
                 dxp[tap] += d
             (pt, _pb), (pl, _pr) = spec.padding
             _accum(x, dxp[pt : pt + h, pl : pl + w].transpose(2, 3, 0, 1))
         if bias is not None:
-            _accum(bias, out.grad.sum(axis=(0, 2, 3)))
+            _accum(bias, g.sum(axis=(0, 2, 3)))
 
-    out = _node(out_data, parents, "conv2d", _bw)
-    return out
+    return _node(out_data, parents, "conv2d", _bw)
 
 
 def conv1d(x, weight, bias):
@@ -525,8 +510,7 @@ def conv1d(x, weight, bias):
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _accum(weight, np.einsum("bcl,bckl->k", g, cols))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
@@ -536,8 +520,7 @@ def conv1d(x, weight, bias):
         if bias is not None:
             _accum(bias, np.full(bias.shape, g.sum(), dtype=bias.dtype))
 
-    out = _node(out_data, parents, "conv1d", _bw)
-    return out
+    return _node(out_data, parents, "conv1d", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +550,15 @@ def adaptive_avg_pool(x, out_hw):
         for j, (c0, c1) in enumerate(cols):
             out_data[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
 
-    def _bw():
+    def _bw(g):
         dx = np.zeros_like(x.data)
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
                 area = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += out.grad[:, :, i : i + 1, j : j + 1] / area
+                dx[:, :, r0:r1, c0:c1] += g[:, :, i : i + 1, j : j + 1] / area
         _accum(x, dx)
 
-    out = _node(out_data, [x], "adaptive_avg_pool", _bw)
-    return out
+    return _node(out_data, [x], "adaptive_avg_pool", _bw)
 
 
 def _owner_map(extent, out_extent):
@@ -602,13 +584,12 @@ def anti_pool(x, target_hw):
     owner_h = _owner_map(h, oh)
     owner_w = _owner_map(w, ow)
 
-    def _bw():
+    def _bw(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), owner_h[:, None], owner_w[None, :]), out.grad)
+        np.add.at(dx, (slice(None), slice(None), owner_h[:, None], owner_w[None, :]), g)
         _accum(x, dx)
 
-    out = _node(x.data[:, :, owner_h[:, None], owner_w[None, :]], [x], "anti_pool", _bw)
-    return out
+    return _node(x.data[:, :, owner_h[:, None], owner_w[None, :]], [x], "anti_pool", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +602,18 @@ def gradient_check(f, inputs, sample=None, rng=None):
     `f` takes the given tensors and returns a scalar Tensor; it must be
     deterministic (checked with two forward passes) and run in float64.
     `sample` limits the check to that many randomly chosen elements per
-    input tensor; by default every element is checked.
+    input tensor; by default every element is checked.  Only the analytic
+    pass builds a graph: the other forwards run on views of the inputs that
+    need no gradient, which see every in-place edit of the inputs' data.
     """
     inputs = list(inputs)
     for t in inputs:
         if t.dtype != np.float64:
             raise ValueError("gradient_check requires float64 inputs")
         t.requires_grad = True
-    out1 = f(*inputs)
-    out2 = f(*inputs)
+    views = [Tensor(t.data) for t in inputs]
+    out1 = f(*views)
+    out2 = f(*views)
     if not np.array_equal(out1.data, out2.data):
         raise ValueError("gradient_check: f is not deterministic")
 
@@ -652,9 +636,9 @@ def gradient_check(f, inputs, sample=None, rng=None):
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
-            fp = f(*inputs).item()
+            fp = f(*views).item()
             flat[i] = orig - h
-            fm = f(*inputs).item()
+            fm = f(*views).item()
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
             a = float(ga.reshape(-1)[i])

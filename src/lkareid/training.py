@@ -18,7 +18,7 @@ from .tensor import NumericsError, Tensor
 
 
 class TrainingDivergence(NumericsError):
-    """A loss or gradient went non-finite during training."""
+    """A parameter gradient went non-finite during training."""
 
 
 @dataclass
@@ -100,16 +100,15 @@ def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothi
     if label_smoothing:
         nll = (1.0 - label_smoothing) * nll + label_smoothing * (-logp.mean(axis=1))
 
-    def _bw():
+    def _bw(g):
         target = np.zeros_like(z)
         target[np.arange(batch), labels] = 1.0 - label_smoothing
         if label_smoothing:
             target += label_smoothing / n_cls
         softmax = np.exp(logp)
-        T._accum(logits, float(out.grad) * (softmax - target) / batch)
+        T._accum(logits, float(g) * (softmax - target) / batch)
 
-    out = T._node(np.asarray(nll.mean()), [logits], "cross_entropy", _bw)
-    return out
+    return T._node(np.asarray(nll.mean()), [logits], "cross_entropy", _bw)
 
 
 def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
@@ -137,8 +136,8 @@ def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
     viol = d_pos - d_neg + margin
     loss_val = np.maximum(viol, 0.0).mean()
 
-    def _bw():
-        g = float(out.grad) / batch
+    def _bw(g):
+        g = float(g) / batch
         dx = np.zeros_like(x)
         eps = np.finfo(x.dtype).tiny
         for i in np.nonzero(viol > 0)[0]:
@@ -153,8 +152,7 @@ def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
                 dx[nx] += g * v
         T._accum(embeddings, dx)
 
-    out = T._node(np.asarray(loss_val, dtype=x.dtype), [embeddings], "batch_hard_triplet", _bw)
-    return out
+    return T._node(np.asarray(loss_val, dtype=x.dtype), [embeddings], "batch_hard_triplet", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +327,6 @@ def train_step(state, batch, cfg, opt=None):
     tri_l2 = batch_hard_triplet_loss(by_branch["l2"].embedding, labels, cfg.margin)
     tri_h2 = batch_hard_triplet_loss(by_branch["h2"].embedding, labels, cfg.margin)
     total = ce_l1 + ce_h1 + tri_l2 + tri_h2
-    if not np.isfinite(total.data):
-        raise TrainingDivergence("non-finite total loss")
     opt.zero_grad()
     T.backward(total)
     for name, p in state.params.items():

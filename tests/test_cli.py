@@ -81,11 +81,10 @@ def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
         # the real block, then an identity whose backward scales by 1.01
         y = forward(x, params, cfg)
 
-        def _bw():
-            T._accum(y, 1.01 * out.grad)
+        def _bw(g):
+            T._accum(y, 1.01 * g)
 
-        out = T._node(y.data.copy(), [y], "bad_scale", _bw)
-        return out
+        return T._node(y.data.copy(), [y], "bad_scale", _bw)
 
     monkeypatch.setitem(verify._BLOCKS, "hca", (cfg, hw, param_shapes, off_by_one_percent))
     code, _, err = run_cli(capsys, "gradcheck", "--scope", "hca")

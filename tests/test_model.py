@@ -78,7 +78,7 @@ def test_param_count_matches_cost_accounting():
     cfg = ModelConfig(num_identities=16)  # desk default
     state = build_model(cfg, 0)
     params, _ = model_params_flops(cfg, (1, 3, 48, 48))
-    assert state.num_params() == params
+    assert sum(p.size for p in state.params.values()) == params
 
 
 def test_invalid_config_rejected():

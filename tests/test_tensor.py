@@ -1,5 +1,8 @@
 """Autograd engine: forward semantics against oracles, gradients against
 central finite differences."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -324,6 +327,22 @@ def test_node_links_graph_only_when_an_input_requires_grad(op):
     x.requires_grad = True
     out = _GRAPH_OPS[op](x, w)
     assert out._backward is not None and x in out._prev and out.requires_grad
+
+
+@pytest.mark.parametrize("op", sorted(_GRAPH_OPS))
+def test_graph_is_freed_without_cycle_collector(op):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=_SPEC_3X3.weight_shape() if op == "conv2d" else x.shape))
+    gc.disable()
+    try:
+        out = _GRAPH_OPS[op](x, w)
+        T.backward(T.tsum(out))
+        data = weakref.ref(out.data)
+        del out
+        assert data() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_rejects_non_scalar():
