@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
 gradcheck and train take --seed, and every subcommand is bit-reproducible
 single-threaded.  train writes its resolved configuration, step log and
-checkpoint into --out; eval prints its report and, given --out, writes it
+checkpoint into --out, and on a numerical failure still checkpoints the
+last finished step; eval prints its report and, given --out, writes it
 there too.
 """
 from __future__ import annotations
@@ -182,6 +183,10 @@ def cmd_train(args):
             fit(state, data, train_cfg, sample_positions=train_idx, log_fn=log_fn)
         except NumericsError as exc:
             log_fn({"step": len(records), "status": "diverged", "error": str(exc)})
+            # train_step raises before opt.step(), so these are the parameters
+            # of the last finished step, unless that update overflowed them
+            if all(np.isfinite(p.data).all() for p in state.params.values()):
+                save_checkpoint(state, out_dir / "checkpoint.lkar")
             raise
     save_checkpoint(state, out_dir / "checkpoint.lkar")
     if records:

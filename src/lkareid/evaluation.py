@@ -8,10 +8,12 @@ order, as a stable sort by descending similarity would place them; only
 the positives' ranks are computed.  Features must be finite, 2-d, with
 exactly one row per sample.
 
-A manifest feature is a flat list of JSON numbers.  Each is converted and
-checked once, as its line is read, into the manifest's float64 feature
-matrix; any malformed line, undecodable bytes included, raises
-ManifestError with its line number.
+A manifest line is one RFC 8259 JSON text, decoded by orjson: NaN,
+Infinity, numbers that overflow a double and lone surrogate escapes are
+invalid JSON.  A manifest feature is a flat list of JSON numbers.  Each is
+converted and checked once, as its line is read, into the manifest's
+float64 feature matrix; any malformed line, undecodable bytes included,
+raises ManifestError with its line number.
 """
 from __future__ import annotations
 
@@ -20,8 +22,14 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 FORMAT_VERSION = 1
+
+# orjson 3.8.3 overflows the C stack, killing the interpreter, on a line
+# nested some 150000 deep, so a line with more '[' and '{' than this is
+# rejected before it is decoded.  A valid record needs two.
+MAX_BRACKETS = 1024
 
 _VERI_NAME = re.compile(r"^(\d+)_c(\d+)[_.]")
 
@@ -152,7 +160,9 @@ def _parse_record(record, seen_paths, rows):
 def load_manifest(path, split="gallery"):
     """Line-delimited UTF-8 JSON records with path|feature, vehicle_id,
     camera_id, and optional view_id; ids missing from a record are parsed
-    from a VeRi-style filename.  Ids must be non-negative JSON integers
+    from a VeRi-style filename.  Each line is RFC 8259 JSON with at most
+    MAX_BRACKETS '[' and '{' in all, a cap that keeps the decoder from
+    recursing deep enough to crash.  Ids must be non-negative JSON integers
     (view_id may also be null).  Features are stacked into the manifest's
     float64 matrix when every record has one.  Any defect in a line
     raises ManifestError naming the file and line."""
@@ -163,9 +173,11 @@ def load_manifest(path, split="gallery"):
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                samples.append(_parse_record(json.loads(line), seen_paths, rows))
-            except (ValueError, TypeError, RecursionError) as exc:
-                reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+                if line.count("[") + line.count("{") > MAX_BRACKETS:
+                    raise ValueError(f"more than {MAX_BRACKETS} '[' and '{{' in one line")
+                samples.append(_parse_record(orjson.loads(line), seen_paths, rows))
+            except (ValueError, TypeError) as exc:
+                reason = f"invalid JSON ({exc.msg})" if isinstance(exc, orjson.JSONDecodeError) else exc
                 raise ManifestError(f"{path}:{lineno}: {reason}") from exc
     if not samples:
         raise ManifestError(f"{path}: manifest is empty")

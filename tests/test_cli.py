@@ -1,7 +1,11 @@
 """Command-line interface: argument handling, exit codes, determinism,
 and output artifacts."""
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,13 +164,29 @@ def test_train_divergence_streams_log_and_exits_2(capsys, tmp_path):
     assert [r["step"] for r in records] == [0, 1]
     assert {"total", "ce_l1", "ce_h1", "tri_l2", "tri_h2"} <= set(records[0])
     assert records[1] == {"step": 1, "status": "diverged", "error": "non-finite values produced by conv2d"}
-    assert not (out_dir / "checkpoint.lkar").exists()
+    # the checkpoint holds the parameters of the last finished step
+    code, _, _ = run_cli(capsys, *_fast_train_args(tmp_path / "one", "--set", "lr=1e30", "--set", "steps=1"))
+    assert code == 0
+    kept, one_step = load_checkpoint(out_dir / "checkpoint.lkar"), load_checkpoint(tmp_path / "one/checkpoint.lkar")
+    assert list(kept.params) == list(one_step.params)
+    assert all(kept.params[n].data.tobytes() == one_step.params[n].data.tobytes() for n in kept.params)
     # numpy's overflow warnings stay out of the report, even as errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run_cli(capsys, *_fast_train_args(tmp_path / "strict", "--set", "lr=1e30"))
     assert code == 2
     assert err == "numerical failure: non-finite values produced by conv2d\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_divergence_after_overflowed_update_writes_no_checkpoint(capsys, tmp_path):
+    # lr * gradient overflows float32, so step 0 leaves infinite parameters
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, *_fast_train_args(out_dir, "--set", "lr=1e39"))
+    assert code == 2
+    assert err == "numerical failure: non-finite values produced by conv2d\n"
+    assert json.loads((out_dir / "log.jsonl").read_text().splitlines()[-1])["status"] == "diverged"
+    assert not (out_dir / "checkpoint.lkar").exists()
 
 
 def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
@@ -319,6 +339,22 @@ def test_eval_object_feature_exits_1_with_one_error_line(capsys, tmp_path):
     assert code == 1
     assert err.splitlines() == [err.strip()]
     assert err.startswith(f"error: {q_path}:1: ") and "Traceback" not in err
+
+
+def test_eval_deeply_nested_line_exits_1_without_crashing(tmp_path):
+    # in a child process, so a decoder that overflows the C stack fails
+    # this test instead of killing the test run
+    path = tmp_path / "deep.jsonl"
+    deep = '{"x": ' + "[" * 200000 + "]" * 200000 + "}"
+    path.write_text(json.dumps({"feature": [1.0, 0.0], "vehicle_id": 1, "camera_id": 0}) + "\n" + deep + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lkareid.cli", "eval", "--query", str(path), "--gallery", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"{path}:2:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # three feature records that `lkareid eval` scores against themselves

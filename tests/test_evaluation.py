@@ -6,9 +6,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lkareid.evaluation import (
+    MAX_BRACKETS,
     ManifestError,
     Sample,
     apply_protocol_filter,
@@ -183,6 +184,74 @@ def test_load_manifest_rejects_undecodable_lines(tmp_path, line):
     path = tmp_path / "m.jsonl"
     path.write_bytes(_GOOD_LINE.encode() + b"\n" + line + b"\n")
     with pytest.raises(ManifestError, match=":2:"):
+        load_manifest(path, split="query")
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(
+        lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+        st.sampled_from(["", "-"]),
+        st.one_of(st.just("0"), st.from_regex(r"[1-9][0-9]{0,19}", fullmatch=True)),
+        st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,20}", fullmatch=True)),
+        st.one_of(
+            st.just(""),
+            st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 330)),
+            st.integers(-330, 310).map("e{}".format),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(texts=st.lists(_NUMBER_TEXT, min_size=1, max_size=8))
+def test_manifest_numbers_load_as_float_of_their_text(tmp_path_factory, texts):
+    # a JSON integer is an int first, so "-0" loads as +0.0
+    want = np.array([float(t) if any(c in t for c in ".eE") else float(int(t)) for t in texts])
+    assume(np.isfinite(want).all())
+    path = tmp_path_factory.mktemp("numbers") / "m.jsonl"
+    path.write_text(f'{{"feature": [{", ".join(texts)}], "vehicle_id": 1, "camera_id": 0}}\n')
+    got = load_manifest(path, split="query").features()[0]
+    assert got.tobytes() == want.tobytes(), texts
+
+
+def test_manifest_30_digit_integer_feature_loads_as_its_float(tmp_path):
+    digits = "123456789012345678901234567890"
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n" + f'{{"feature": [0.5, {digits}], "vehicle_id": 2, "camera_id": 1}}\n')
+    row = load_manifest(path, split="query").features()[1]
+    assert row.tobytes() == np.array([0.5, float(int(digits))]).tobytes()
+
+
+# records of line 2 that are not RFC 8259 JSON
+_NOT_RFC_8259 = {
+    **{
+        f"{where}_{name}": f'{{"feature": {feature}, "vehicle_id": 2, "camera_id": 1{extra}}}'
+        for name, text in [("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"), ("overflow", "1e999")]
+        for where, feature, extra in [("feature", f"[0.5, {text}]", ""), ("extra", "[0.5, 0.5]", f', "extra": {text}')]
+    },
+    "lone_surrogate_path": '{"path": "\\ud800", "feature": [0.5, 0.5], "vehicle_id": 2, "camera_id": 1}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_RFC_8259))
+def test_load_manifest_rejects_json_outside_rfc_8259(tmp_path, case):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n{_NOT_RFC_8259[case]}\n")
+    with pytest.raises(ManifestError, match=":2: invalid JSON"):
+        load_manifest(path, split="query")
+
+
+def test_load_manifest_caps_brackets_per_line(tmp_path):
+    # brackets inside strings count too; a record with a feature uses two
+    def record(n_brackets):
+        return json.dumps({"path": "[" * (n_brackets - 2), "feature": [0.5, 0.5], "vehicle_id": 2, "camera_id": 1})
+
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n{record(MAX_BRACKETS)}\n")
+    assert len(load_manifest(path, split="query").samples) == 2
+    path.write_text(f"{_GOOD_LINE}\n{record(MAX_BRACKETS + 1)}\n")
+    with pytest.raises(ManifestError, match=f":2: more than {MAX_BRACKETS} "):
         load_manifest(path, split="query")
 
 
