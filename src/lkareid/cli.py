@@ -183,10 +183,9 @@ def cmd_train(args):
             fit(state, data, train_cfg, sample_positions=train_idx, log_fn=log_fn)
         except NumericsError as exc:
             log_fn({"step": len(records), "status": "diverged", "error": str(exc)})
-            # train_step raises before opt.step(), so these are the parameters
-            # of the last finished step, unless that update overflowed them
-            if all(np.isfinite(p.data).all() for p in state.params.values()):
-                save_checkpoint(state, out_dir / "checkpoint.lkar")
+            # a step that fails changes no parameter, so these are the
+            # parameters of the last finished step
+            save_checkpoint(state, out_dir / "checkpoint.lkar")
             raise
     save_checkpoint(state, out_dir / "checkpoint.lkar")
     if records:

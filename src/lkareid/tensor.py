@@ -8,13 +8,11 @@ add/multiply, matmul, reductions, and L2 normalization.
 Every forward op validates that finite inputs produce finite outputs.
 Verification paths run in float64; training runs in float32.
 
-`conv2d` moves data in kernel-tap slices of a channels-last padded input:
-dense and grouped convolutions fill their im2col columns from the slices
-and run one grouped GEMM; depthwise ones multiply-add the slices directly.
-Its float32 outputs and gradients equal those of the plain im2col/GEMM
-arithmetic in `tests/oracles.conv2d_gemm_oracle` bit for bit, which keeps
-training trajectories reproducible.  The slow mathematical reference is
-`tests/oracles.conv2d_oracle`.
+`conv2d` moves data in kernel-tap slices of a channels-last padded input
+and has one path per conv kind: a dense convolution stacks the slices into
+columns and runs one GEMM over the whole batch; a depthwise one
+multiply-adds the slices directly.  Other group counts are rejected.  The
+slow reference is `tests/oracles.conv2d_oracle`.
 
 A convolution's geometry is decided once: `Conv2dSpec` normalizes kernel,
 stride, dilation and padding when it is built, and everything else reads
@@ -87,12 +85,10 @@ class Conv2dSpec:
         object.__setattr__(self, "padding", _as_padding(self.padding))
         if min(self.kernel) < 1:
             raise ValueError(f"kernel extents must be >= 1, got {self.kernel}")
-        if self.groups < 1:
-            raise ValueError("groups must be >= 1")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
+        if not (self.groups == 1 or self.groups == self.in_channels == self.out_channels > 1):
             raise ValueError(
-                f"channels ({self.in_channels}, {self.out_channels}) not divisible "
-                f"by groups ({self.groups})"
+                f"groups must be 1 (dense) or equal both channel counts (depthwise), got "
+                f"{self.groups} for ({self.in_channels}, {self.out_channels}) channels"
             )
         if min(self.stride) < 1:
             raise ValueError("stride must be >= 1")
@@ -392,25 +388,15 @@ def _pad_channels_last(x, spec):
     return xp
 
 
-def _im2col(xp, taps):
-    """Columns (N, C, kh*kw, oh*ow) stored in memory as [tap][oh][ow][n][c].
-
-    The GEMMs below read them in exactly this layout, the one a fancy-indexed
-    gather produces; BLAS and numpy's own matmul loop pick their summation
-    order from the strides, so another layout would change the float bits.
-    """
-    cols = np.stack([xp[tap] for tap in taps])  # (T, oh, ow, N, C)
-    t, oh, ow, n, c = cols.shape
-    return cols.reshape(t, oh * ow, n, c).transpose(2, 3, 0, 1)
-
-
 def conv2d(x, weight, bias, spec):
     """2-d convolution over NCHW input, differentiable in x, weight, bias.
 
-    Dense and grouped convolutions are an im2col GEMM; depthwise ones
-    (one input and one output channel per group) multiply-add the kh*kw
-    shifted input slices directly.  Both keep the float32 results of
-    `tests/oracles.conv2d_gemm_oracle` bit for bit.
+    Two paths, chosen by `spec.groups`.  A dense conv (groups == 1) is one
+    GEMM over the whole batch: channels-last columns (oh*ow*N, kh*kw*C)
+    times the weight reordered to (O, kh*kw*C); its backward is one GEMM
+    for the weight gradient and one for the column gradient.  A depthwise
+    conv (one channel per group) multiply-adds the kh*kw shifted input
+    slices directly.
     """
     if x.data.ndim != 4:
         raise ValueError("conv2d expects NCHW input")
@@ -424,35 +410,22 @@ def conv2d(x, weight, bias, spec):
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ValueError(f"bias shape {bias.shape} != ({spec.out_channels},)")
 
-    kh, kw = spec.kernel
-    groups = spec.groups
-    icpg = spec.in_channels // groups
-    ocpg = spec.out_channels // groups
     oh, ow = spec.out_size(h, w)
-    # Depthwise convs multiply-add tap slices, which repeats numpy's own
-    # matmul loop on their GEMM.  With one sample of one channel, or a 1x1
-    # output, numpy hands that GEMM to BLAS instead, so those stay GEMMs.
-    depthwise = icpg == ocpg == 1 and n * c > 1 and oh * ow > 1
+    dense = spec.groups == 1
     taps = _tap_slices(spec, oh, ow)
     xp = _pad_channels_last(x.data, spec)
     pad_shape = xp.shape
-    wg = weight.data.reshape(groups, ocpg, icpg * kh * kw)
-    wt = weight.data.reshape(-1, kh * kw)  # depthwise: one row of taps per channel
-
-    if depthwise:
-        # From zero, one product per tap added in tap order: the arithmetic
-        # of numpy's matmul loop on the strided depthwise GEMM.
-        acc = np.zeros((oh, ow, n, c), dtype=np.result_type(xp, wt))
-        for t, tap in enumerate(taps):
-            acc += xp[tap] * wt[:, t]
-        out_data = acc.transpose(2, 3, 0, 1)
-        colsg = None  # built from xp in the backward, for the weight gradient
-    else:
-        colsg = _im2col(xp, taps).reshape(n, groups, icpg * kh * kw, oh * ow)
-        out_data = np.matmul(wg, colsg).reshape(n, spec.out_channels, oh, ow)
+    if dense:
+        cols = np.stack([xp[tap] for tap in taps], axis=3).reshape(oh * ow * n, len(taps) * c)
+        wt = weight.data.transpose(0, 2, 3, 1).reshape(spec.out_channels, len(taps) * c)
+        out_cl = (cols @ wt.T).reshape(oh, ow, n, spec.out_channels)
         xp = None  # the backward needs the columns, not the padded input
-    # Later reductions sum in memory order: the output is C-ordered NCHW
-    # whichever path made it.
+    else:
+        wt = weight.data.reshape(c, len(taps))  # one row of taps per channel
+        out_cl = np.zeros((oh, ow, n, c), dtype=np.result_type(xp, wt))
+        for t, tap in enumerate(taps):
+            out_cl += xp[tap] * wt[:, t]
+    out_data = out_cl.transpose(2, 3, 0, 1)
     if bias is None:
         out_data = np.ascontiguousarray(out_data)
     else:
@@ -461,20 +434,22 @@ def conv2d(x, weight, bias, spec):
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def _bw(g):
-        doutg = g.reshape(n, groups, ocpg, oh * ow)
+        g_cl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))  # (oh, ow, N, O)
+        g2 = g_cl.reshape(oh * ow * n, spec.out_channels)  # the dense GEMM's output rows
         if weight.requires_grad:
-            cols = colsg if colsg is not None else _im2col(xp, taps).reshape(n, groups, kh * kw, oh * ow)
-            dw = np.matmul(doutg, cols.swapaxes(2, 3)).sum(axis=0)
+            if dense:
+                dw = (g2.T @ cols).reshape(spec.out_channels, *spec.kernel, c).transpose(0, 3, 1, 2)
+            else:
+                dw = np.stack([np.einsum("ijnc,ijnc->c", xp[tap], g_cl) for tap in taps], axis=1)
             _accum(weight, dw.reshape(weight.shape))
         if x.requires_grad:
-            # Scatter each tap's column gradient back in tap order.
-            if depthwise:
-                g_cl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))
-                dtaps = (g_cl * wt[:, t] for t in range(kh * kw))
+            if dense:
+                dcols = (g2 @ wt).reshape(oh, ow, n, len(taps), c)
+                dtaps = (dcols[:, :, :, t] for t in range(len(taps)))
             else:
-                dcols = np.matmul(wg.swapaxes(1, 2), doutg)
-                dtaps = dcols.reshape(n, c, kh * kw, oh, ow).transpose(2, 3, 4, 0, 1)
-            dxp = np.zeros(pad_shape, dtype=np.result_type(wg, g))
+                dtaps = (g_cl * wt[:, t] for t in range(len(taps)))
+            # Scatter each tap's column gradient back into the padded input.
+            dxp = np.zeros(pad_shape, dtype=np.result_type(wt, g))
             for tap, d in zip(taps, dtaps):
                 dxp[tap] += d
             (pt, _pb), (pl, _pr) = spec.padding

@@ -18,7 +18,7 @@ from .tensor import NumericsError, Tensor
 
 
 class TrainingDivergence(NumericsError):
-    """A parameter gradient went non-finite during training."""
+    """A parameter's gradient or update went non-finite during training."""
 
 
 @dataclass
@@ -268,7 +268,14 @@ class Optimizer:
         self.t = 0
 
     def step(self):
-        self.t += 1
+        """Update every parameter that has a gradient.
+
+        All new values and slots are computed first.  If any parameter's new
+        value is not finite, TrainingDivergence names it and the parameters,
+        slots and step count stay as they were.
+        """
+        t = self.t + 1
+        pending = []
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -277,18 +284,24 @@ class Optimizer:
             if self.cfg.optimizer == "sgd":
                 v = slot.get("v")
                 v = g.copy() if v is None else self.cfg.momentum * v + g
-                slot["v"] = v
-                p.data -= (self.cfg.lr * v).astype(p.dtype, copy=False)
+                slot = {"v": v}
+                update = self.cfg.lr * v
             else:  # adam
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                if not slot:
-                    slot["m"], slot["v"] = np.zeros_like(g), np.zeros_like(g)
-                m = slot["m"] * b1 + (1 - b1) * g
-                v = slot["v"] * b2 + (1 - b2) * g * g
-                slot["m"], slot["v"] = m, v
-                mh = m / (1 - b1**self.t)
-                vh = v / (1 - b2**self.t)
-                p.data -= (self.cfg.lr * mh / (np.sqrt(vh) + eps)).astype(p.dtype, copy=False)
+                m = slot.get("m", 0.0) * b1 + (1 - b1) * g
+                v = slot.get("v", 0.0) * b2 + (1 - b2) * g * g
+                slot = {"m": m, "v": v}
+                mh = m / (1 - b1**t)
+                vh = v / (1 - b2**t)
+                update = self.cfg.lr * mh / (np.sqrt(vh) + eps)
+            new = p.data - update.astype(p.dtype, copy=False)
+            if not np.all(np.isfinite(new)):
+                raise TrainingDivergence(f"non-finite update of parameter {name}")
+            pending.append((name, p, new, slot))
+        for name, p, new, slot in pending:
+            p.data[...] = new
+            self.slots[name] = slot
+        self.t = t
 
     def zero_grad(self):
         for p in self.params.values():

@@ -3,9 +3,7 @@
 Everything here is written as plain loops over numpy scalars, sharing no
 code with the library: direct convolutions, replication pooling,
 straight-line attention blocks, a brute-force triplet miner, and a fully
-enumerated retrieval scorer.  The one exception is `conv2d_gemm_oracle`,
-which pins the float32 bits of the library convolution rather than its
-mathematics.
+enumerated retrieval scorer.
 """
 import math
 
@@ -39,68 +37,6 @@ def conv2d_oracle(x, w, b, stride=1, padding=0, dilation=1, groups=1):
                                 acc += xp[ni, g * cin_g + ic, iy, ix] * w[oc, ic, ky, kx]
                     out[ni, oc, oy, ox] = acc + (0.0 if b is None else b[oc])
     return out
-
-
-def conv2d_gemm_oracle(x, w, b, dout, stride=1, padding=0, dilation=1, groups=1):
-    """Plain im2col + grouped-GEMM convolution: a fancy-indexed im2col, one
-    grouped `np.matmul`, a per-sample weight-gradient matmul summed over the
-    batch, and a kh*kw slice-add col2im.
-
-    This is the arithmetic reference, not a speed path: `conv2d` must
-    reproduce its float32 bits (the same products summed in the same
-    order), which keeps training trajectories reproducible.  Returns
-    (out, dx, dw, db) for the upstream gradient `dout`; db is None without
-    a bias.
-    """
-
-    def pair(v):
-        return (int(v[0]), int(v[1])) if isinstance(v, (tuple, list)) else (int(v), int(v))
-
-    if isinstance(padding, (tuple, list)) and isinstance(padding[0], (tuple, list)):
-        (pt, pb), (pl, pr) = padding
-    else:
-        ph, pw = pair(padding)
-        (pt, pb), (pl, pr) = (ph, ph), (pw, pw)
-    n, c, h, wd = x.shape
-    cout, icpg, kh, kw = w.shape
-    sh, sw = pair(stride)
-    dh, dw = pair(dilation)
-    ocpg = cout // groups
-    oh = (h + pt + pb - dh * (kh - 1) - 1) // sh + 1
-    ow = (wd + pl + pr - dw * (kw - 1) - 1) // sw + 1
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    i0 = np.repeat(np.arange(kh) * dh, kw)
-    j0 = np.tile(np.arange(kw) * dw, kh)
-    oi = np.repeat(np.arange(oh) * sh, ow)
-    oj = np.tile(np.arange(ow) * sw, oh)
-    idx_h = i0[:, None] + oi[None, :]
-    idx_w = j0[:, None] + oj[None, :]
-    cols = xp[:, :, idx_h, idx_w]  # (N, C, kh*kw, oh*ow)
-
-    colsg = cols.reshape(n, groups, icpg * kh * kw, oh * ow)
-    wg = w.reshape(groups, ocpg, icpg * kh * kw)
-    out = np.matmul(wg, colsg).reshape(n, cout, oh, ow)
-    if b is not None:
-        out = out + b[None, :, None, None]
-
-    doutg = dout.reshape(n, groups, ocpg, oh * ow)
-    dwt = np.matmul(doutg, colsg.swapaxes(2, 3)).sum(axis=0).reshape(w.shape)
-    dcols = np.matmul(wg.swapaxes(1, 2), doutg)
-    dcols = dcols.reshape(n, c, kh * kw, oh * ow)
-    dxp = np.zeros(xp.shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
-    for ky in range(kh):
-        for kx in range(kw):
-            dxp[
-                :,
-                :,
-                ky * dh : ky * dh + sh * oh : sh,
-                kx * dw : kx * dw + sw * ow : sw,
-            ] += d6[:, :, ky, kx]
-    dx = dxp[:, :, pt : pt + h, pl : pl + wd]
-    db = None if b is None else dout.sum(axis=(0, 2, 3))
-    return out, dx, dwt, db
 
 
 def conv1d_oracle(x, w, b):

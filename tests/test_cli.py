@@ -179,14 +179,21 @@ def test_train_divergence_streams_log_and_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_train_divergence_after_overflowed_update_writes_no_checkpoint(capsys, tmp_path):
-    # lr * gradient overflows float32, so step 0 leaves infinite parameters
+def test_train_overflowing_update_keeps_initial_checkpoint(capsys, tmp_path):
+    # lr * gradient overflows float32, so step 0's update is rejected whole
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, *_fast_train_args(out_dir, "--set", "lr=1e39"))
     assert code == 2
-    assert err == "numerical failure: non-finite values produced by conv2d\n"
-    assert json.loads((out_dir / "log.jsonl").read_text().splitlines()[-1])["status"] == "diverged"
-    assert not (out_dir / "checkpoint.lkar").exists()
+    assert err.startswith("numerical failure: non-finite update of parameter ") and "Traceback" not in err
+    records = [json.loads(line) for line in (out_dir / "log.jsonl").read_text().splitlines()]
+    assert [(r["step"], r["status"]) for r in records] == [(0, "diverged")]
+    from lkareid.cli import _configs_from_resolved
+
+    model_cfg, train_cfg, _ = _configs_from_resolved(json.loads((out_dir / "config.json").read_text()))
+    init = build_model(model_cfg, train_cfg.seed)
+    kept = load_checkpoint(out_dir / "checkpoint.lkar")
+    assert list(kept.params) == list(init.params)
+    assert all(kept.params[n].data.tobytes() == init.params[n].data.tobytes() for n in init.params)
 
 
 def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
@@ -439,6 +446,23 @@ def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "stem.0.weight" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
+    """A freshly built model maps a uniform image to a zero feature row,
+    which cannot be L2-normalized: a numerical failure."""
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    image = tmp_path / "a.npy"
+    np.save(image, np.full((3, 16, 16), 0.5, dtype=np.float32))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "numerical failure: l2_normalize: zero-norm slice\n"
 
 
 def test_eval_checkpoint_images_of_two_shapes_exit_1(capsys, tmp_path):

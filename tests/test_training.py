@@ -9,6 +9,7 @@ from lkareid.model import ModelConfig, build_model
 from lkareid.tensor import Tensor, gradient_check
 from lkareid.training import (
     Optimizer,
+    TrainingDivergence,
     SyntheticDatasetSpec,
     TrainConfig,
     batch_hard_triplet_loss,
@@ -304,6 +305,29 @@ def test_adam_optimizer_also_learns():
         first = comp["total"] if first is None else first
         last = comp["total"]
     assert last < first
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_optimizer_step_with_a_nonfinite_update_changes_nothing(optimizer):
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.full(2, 3e38, dtype=np.float32), requires_grad=True)
+    opt = Optimizer({"a": a, "b": b}, TrainConfig(lr=1e38, optimizer=optimizer))
+    a.grad, b.grad = np.ones(3, dtype=np.float32), np.zeros(2, dtype=np.float32)
+    opt.step()
+    slots = {name: {k: v.copy() for k, v in slot.items()} for name, slot in opt.slots.items()}
+    before = a.data.copy(), b.data.copy()
+    b.grad = np.full(2, -1e15, dtype=np.float32)  # pushes b past float32's largest value
+    with pytest.raises(TrainingDivergence, match="parameter b$"):
+        opt.step()
+    np.testing.assert_array_equal(a.data, before[0])
+    np.testing.assert_array_equal(b.data, before[1])
+    assert opt.t == 1
+    assert opt.slots.keys() == slots.keys()
+    for name, slot in slots.items():
+        assert opt.slots[name].keys() == slot.keys()
+        for k in slot:
+            np.testing.assert_array_equal(opt.slots[name][k], slot[k])
 
 
 def test_train_config_validation():
