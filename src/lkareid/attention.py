@@ -72,12 +72,9 @@ class HcaConfig:
     b: float = 2.0
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
         if self.local_grid < 1:
             raise ValueError("local_grid must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        eca_kernel_size(self.channels, self.gamma, self.b)  # checks channels, gamma and b
 
     @property
     def conv1d_kernel(self):
@@ -94,13 +91,16 @@ def eca_kernel_size(channels, gamma=HcaConfig.gamma, b=HcaConfig.b):
     """Adaptive odd 1-d kernel size from the channel count.
 
     t = log2(C)/gamma + b/gamma, truncated toward zero; even values are
-    bumped up by one and the result is clamped to >= 1.
+    bumped up by one and the result is clamped to >= 1.  gamma must be
+    finite and > 0, and t finite, which needs a finite b.
     """
     if channels < 1:
         raise ValueError("channels must be >= 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     t = math.log2(channels) / gamma + b / gamma
+    if not math.isfinite(t):
+        raise ValueError(f"log2(C)/gamma + b/gamma is not finite for b={b}, gamma={gamma}")
     k = int(t)
     if k % 2 == 0:
         k += 1

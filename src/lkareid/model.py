@@ -71,7 +71,11 @@ class ModelConfig:
             raise ValueError(f"invalid stem widths {self.stem_widths}")
         if self.feature_dim < 1 or self.blocks_per_branch < 1:
             raise ValueError("feature_dim and blocks_per_branch must be >= 1")
+        if self.num_cameras < 1 or self.num_views < 1:
+            raise ValueError("num_cameras and num_views must be >= 1")
         object.__setattr__(self, "stem_widths", tuple(int(wd) for wd in self.stem_widths))
+        self.lka_config()  # validates the attention settings
+        self.hca_config()
 
     @property
     def branch_channels(self):

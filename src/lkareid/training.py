@@ -18,7 +18,8 @@ from .tensor import NumericsError, Tensor
 
 
 class TrainingDivergence(NumericsError):
-    """A parameter's gradient or update went non-finite during training."""
+    """A parameter's new value or optimizer slot went non-finite during
+    training."""
 
 
 @dataclass
@@ -41,6 +42,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
+        for name in ("lr", "momentum", "margin", "grad_clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.grad_clip_norm < 0:
             raise ValueError("grad_clip_norm must be >= 0")
         if self.steps < 0:
@@ -59,6 +63,11 @@ class SyntheticDatasetSpec:
     num_views: int = ModelConfig.num_views
     image_size: int = 48
     seed: int = TrainConfig.seed
+
+    def __post_init__(self):
+        for name in ("num_identities", "images_per_identity", "num_cameras", "num_views", "image_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -259,20 +268,22 @@ def split_query_gallery(data, spec):
 
 
 class Optimizer:
-    """Momentum SGD or Adam over a named parameter dict."""
+    """Momentum SGD or Adam over a named parameter dict.  Every slot (SGD's
+    velocity `v`, Adam's moments `m` and `v`) starts at zero."""
 
     def __init__(self, params, cfg):
         self.params = params
         self.cfg = cfg
-        self.slots = {name: {} for name in params}
+        slots = ("v",) if cfg.optimizer == "sgd" else ("m", "v")
+        self.slots = {name: {k: np.zeros_like(p.data) for k in slots} for name, p in params.items()}
         self.t = 0
 
     def step(self):
         """Update every parameter that has a gradient.
 
-        All new values and slots are computed first.  If any parameter's new
-        value is not finite, TrainingDivergence names it and the parameters,
-        slots and step count stay as they were.
+        All new values and slots are computed first.  If any is not finite
+        (a NaN or Inf gradient always reaches a slot), TrainingDivergence
+        names its parameter and the parameters, slots and step count stay.
         """
         t = self.t + 1
         pending = []
@@ -282,20 +293,15 @@ class Optimizer:
             g = p.grad
             slot = self.slots[name]
             if self.cfg.optimizer == "sgd":
-                v = slot.get("v")
-                v = g.copy() if v is None else self.cfg.momentum * v + g
-                slot = {"v": v}
-                update = self.cfg.lr * v
+                slot = {"v": self.cfg.momentum * slot["v"] + g}
+                update = self.cfg.lr * slot["v"]
             else:  # adam
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                m = slot.get("m", 0.0) * b1 + (1 - b1) * g
-                v = slot.get("v", 0.0) * b2 + (1 - b2) * g * g
+                m, v = slot["m"] * b1 + (1 - b1) * g, slot["v"] * b2 + (1 - b2) * g * g
                 slot = {"m": m, "v": v}
-                mh = m / (1 - b1**t)
-                vh = v / (1 - b2**t)
-                update = self.cfg.lr * mh / (np.sqrt(vh) + eps)
+                update = self.cfg.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             new = p.data - update.astype(p.dtype, copy=False)
-            if not np.all(np.isfinite(new)):
+            if not all(np.isfinite(a).all() for a in (new, *slot.values())):
                 raise TrainingDivergence(f"non-finite update of parameter {name}")
             pending.append((name, p, new, slot))
         for name, p, new, slot in pending:
@@ -324,14 +330,13 @@ def clip_grad_norm(params, max_norm):
     return norm
 
 
-def train_step(state, batch, cfg, opt=None):
-    """One forward/backward/update on a PK batch.
+def train_step(state, batch, cfg, opt):
+    """One forward/backward/update on a PK batch with the run's Optimizer.
 
     `batch` is (images, labels, camera_ids, view_ids).  Returns the state
-    and the four loss components plus their total.
+    and the four loss components plus their total; a step that raises
+    NumericsError changes no parameter.
     """
-    if opt is None:
-        opt = Optimizer(state.params, cfg)
     images, labels, cameras, views = batch
     outputs = forward_train(state, Tensor(images), cameras, views)
     by_branch = {o.branch: o for o in outputs}
@@ -342,9 +347,6 @@ def train_step(state, batch, cfg, opt=None):
     total = ce_l1 + ce_h1 + tri_l2 + tri_h2
     opt.zero_grad()
     T.backward(total)
-    for name, p in state.params.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise TrainingDivergence(f"non-finite gradient in parameter {name}")
     clip_grad_norm(state.params, cfg.grad_clip_norm)
     opt.step()
     components = {

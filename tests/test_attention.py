@@ -100,6 +100,16 @@ def test_eca_kernel_size_table():
     assert eca_kernel_size(2) == 1
 
 
+@pytest.mark.parametrize("gamma,b", [
+    (np.nan, 2.0), (np.inf, 2.0), (0.0, 2.0), (2.0, np.nan), (2.0, np.inf), (2.0, -np.inf), (1e-10, 1e300),
+])
+def test_eca_kernel_size_rejects_non_finite_settings(gamma, b):
+    with pytest.raises(ValueError):
+        eca_kernel_size(64, gamma, b)
+    with pytest.raises(ValueError):
+        HcaConfig(64, gamma=gamma, b=b)
+
+
 def test_eca_kernel_size_odd_and_monotone():
     sizes = [eca_kernel_size(c) for c in range(2, 4097, 2)]
     assert all(k % 2 == 1 for k in sizes)

@@ -62,6 +62,13 @@ def test_inspect_invalid_kernel(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("setting", ["--b=inf", "--b=nan", "--gamma=inf"])
+def test_inspect_non_finite_setting_exits_1(capsys, setting):
+    code, out, err = run_cli(capsys, "inspect", setting)
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -202,6 +209,18 @@ def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: ")
     assert not (out_dir / "config.json").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "num_cameras=0", "images_per_identity=0", "image_size=0", "hca_local_grid=0", "lka_kernel=4",
+    "lr=nan", "momentum=inf", "margin=-inf", "grad_clip_norm=nan",
+])
+def test_train_invalid_setting_exits_1_before_writing(capsys, tmp_path, setting):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, *_fast_train_args(out_dir, "--set", setting))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 # the default config.json, as measured before the defaults moved into the

@@ -86,6 +86,10 @@ def test_invalid_config_rejected():
         ModelConfig(num_identities=0)
     with pytest.raises(ValueError):
         ModelConfig(num_identities=4, stem_widths=())
+    for bad in ({"num_cameras": 0}, {"num_views": 0}, {"lka_kernel": 4}, {"lka_dilation": 9},
+                {"hca_local_grid": 0}, {"hca_gamma": float("nan")}, {"hca_b": float("inf")}):
+        with pytest.raises(ValueError):
+            ModelConfig(num_identities=4, **bad)
 
 
 # ---------------------------------------------------------------------------

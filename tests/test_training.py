@@ -13,6 +13,7 @@ from lkareid.training import (
     SyntheticDatasetSpec,
     TrainConfig,
     batch_hard_triplet_loss,
+    clip_grad_norm,
     cross_entropy_loss,
     fit,
     pk_sample,
@@ -252,7 +253,7 @@ def test_train_step_zero_lr_keeps_state():
     state = tiny_model()
     before = {n: p.data.copy() for n, p in state.params.items()}
     cfg = TrainConfig(identities_per_batch=2, instances_per_identity=4, lr=0.0, momentum=0.0)
-    train_step(state, _tiny_batch(data, np.random.default_rng(0)), cfg)
+    train_step(state, _tiny_batch(data, np.random.default_rng(0)), cfg, Optimizer(state.params, cfg))
     for name, p in state.params.items():
         np.testing.assert_array_equal(p.data, before[name])
 
@@ -261,7 +262,7 @@ def test_train_loss_components_finite_at_init():
     data = synth_generate(SyntheticDatasetSpec())
     state = tiny_model()
     cfg = TrainConfig(identities_per_batch=2, instances_per_identity=4, lr=0.0)
-    _, comp = train_step(state, _tiny_batch(data, np.random.default_rng(1)), cfg)
+    _, comp = train_step(state, _tiny_batch(data, np.random.default_rng(1)), cfg, Optimizer(state.params, cfg))
     assert set(comp) == {"total", "ce_l1", "ce_h1", "tri_l2", "tri_h2"}
     assert all(np.isfinite(v) for v in comp.values())
     assert comp["total"] == pytest.approx(
@@ -307,6 +308,24 @@ def test_adam_optimizer_also_learns():
     assert last < first
 
 
+def _assert_step_fails_and_changes_nothing(opt, name):
+    """opt.step() raises TrainingDivergence naming parameter `name` and
+    leaves every parameter, slot and the step count as they were."""
+    params = {n: p.data.copy() for n, p in opt.params.items()}
+    slots = {n: {k: v.copy() for k, v in slot.items()} for n, slot in opt.slots.items()}
+    t = opt.t
+    with pytest.raises(TrainingDivergence, match=f"parameter {name}$"):
+        opt.step()
+    assert opt.t == t
+    for n, p in opt.params.items():
+        np.testing.assert_array_equal(p.data, params[n])
+    assert opt.slots.keys() == slots.keys()
+    for n, slot in slots.items():
+        assert opt.slots[n].keys() == slot.keys()
+        for k in slot:
+            np.testing.assert_array_equal(opt.slots[n][k], slot[k])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_optimizer_step_with_a_nonfinite_update_changes_nothing(optimizer):
@@ -315,19 +334,35 @@ def test_optimizer_step_with_a_nonfinite_update_changes_nothing(optimizer):
     opt = Optimizer({"a": a, "b": b}, TrainConfig(lr=1e38, optimizer=optimizer))
     a.grad, b.grad = np.ones(3, dtype=np.float32), np.zeros(2, dtype=np.float32)
     opt.step()
-    slots = {name: {k: v.copy() for k, v in slot.items()} for name, slot in opt.slots.items()}
-    before = a.data.copy(), b.data.copy()
     b.grad = np.full(2, -1e15, dtype=np.float32)  # pushes b past float32's largest value
-    with pytest.raises(TrainingDivergence, match="parameter b$"):
-        opt.step()
-    np.testing.assert_array_equal(a.data, before[0])
-    np.testing.assert_array_equal(b.data, before[1])
-    assert opt.t == 1
-    assert opt.slots.keys() == slots.keys()
-    for name, slot in slots.items():
-        assert opt.slots[name].keys() == slot.keys()
-        for k in slot:
-            np.testing.assert_array_equal(opt.slots[name][k], slot[k])
+    _assert_step_fails_and_changes_nothing(opt, "b")
+
+
+# Every bad gradient reaches a slot: SGD's v holds g, Adam's m holds
+# (1 - b1) * g, and clipping an Inf scales it by 0, which gives NaN.  The
+# last case is a finite gradient whose square overflows Adam's v.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("optimizer,bad,clip", [
+    *((o, bad, clip) for o in ("sgd", "adam") for bad in (np.inf, np.nan) for clip in (0.0, 5.0)),
+    ("adam", 1e30, 0.0),
+])
+def test_optimizer_step_with_a_bad_gradient_changes_nothing(optimizer, bad, clip):
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.full(2, 2.0, dtype=np.float32), requires_grad=True)
+    opt = Optimizer({"a": a, "b": b}, TrainConfig(lr=0.1, optimizer=optimizer, grad_clip_norm=clip))
+    a.grad, b.grad = np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)
+    opt.step()
+    a.grad, b.grad = np.ones(3, dtype=np.float32), np.array([1.0, bad], dtype=np.float32)
+    clip_grad_norm(opt.params, clip)
+    _assert_step_fails_and_changes_nothing(opt, "b")
+
+
+def test_optimizer_slots_start_at_zero():
+    a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    for optimizer, names in (("sgd", ["v"]), ("adam", ["m", "v"])):
+        slot = Optimizer({"a": a}, TrainConfig(optimizer=optimizer)).slots["a"]
+        assert sorted(slot) == names
+        assert all(v.shape == a.shape and v.dtype == a.dtype and not v.any() for v in slot.values())
 
 
 def test_train_config_validation():
@@ -339,5 +374,12 @@ def test_train_config_validation():
         TrainConfig(label_smoothing=1.5)
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
+    for name in ("lr", "momentum", "margin", "grad_clip_norm"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
+    for name in ("num_identities", "images_per_identity", "num_cameras", "num_views", "image_size"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            SyntheticDatasetSpec(**{name: 0})
     assert TrainConfig(steps=0).steps == 0
     assert TrainConfig().batch_size == 16  # default P=4, K=4
