@@ -8,7 +8,6 @@ from .attention import (
     HcaConfig,
     LkaConfig,
     count_params_flops,
-    decompose_large_kernel,
     eca_kernel_size,
     hca_forward,
     lka_forward,
@@ -66,7 +65,6 @@ __all__ = [
     "cmc_curve",
     "count_params_flops",
     "cross_entropy_loss",
-    "decompose_large_kernel",
     "eca_kernel_size",
     "evaluate",
     "evaluate_features",

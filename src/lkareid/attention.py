@@ -62,32 +62,34 @@ class LkaConfig:
         return self.channels**2 * self.kernel**2
 
 
+# ECA-Net's kernel-size gamma and b, used by every HCA block
+ECA_GAMMA, ECA_B = 2.0, 2.0
+
+
 @dataclass(frozen=True)
 class HcaConfig:
-    """Channels, local pooling grid, and the two kernel-size hyperparameters."""
+    """Channels and the local pooling grid; the 1-d kernel size follows
+    from the channel count by the ECA rule."""
 
     channels: int
     local_grid: int = 5
-    gamma: float = 2.0
-    b: float = 2.0
 
     def __post_init__(self):
         if self.local_grid < 1:
             raise ValueError("local_grid must be >= 1")
-        eca_kernel_size(self.channels, self.gamma, self.b)  # checks channels, gamma and b
+        eca_kernel_size(self.channels)  # checks channels
 
     @property
     def conv1d_kernel(self):
-        return eca_kernel_size(self.channels, self.gamma, self.b)
+        return eca_kernel_size(self.channels)
+
+    def check_extent(self, h, w):
+        """The local grid pools an h x w map, so it may not exceed it."""
+        if self.local_grid > min(h, w):
+            raise ValueError(f"local grid {self.local_grid} exceeds spatial extent {h}x{w}")
 
 
-def decompose_large_kernel(kernel, dilation, channels=1):
-    """Split a K x K conv into the depthwise / dilated-depthwise / 1x1 triple:
-    the block's LkaConfig, which also gives its receptive field and costs."""
-    return LkaConfig(channels, kernel, dilation)
-
-
-def eca_kernel_size(channels, gamma=HcaConfig.gamma, b=HcaConfig.b):
+def eca_kernel_size(channels, gamma=ECA_GAMMA, b=ECA_B):
     """Adaptive odd 1-d kernel size from the channel count.
 
     t = log2(C)/gamma + b/gamma, truncated toward zero; even values are
@@ -198,9 +200,8 @@ def hca_attention_map(x, params, cfg):
     n, c, h, w = x.shape
     if c != cfg.channels:
         raise ValueError(f"input has {c} channels, config wants {cfg.channels}")
+    cfg.check_extent(h, w)
     ks = cfg.local_grid
-    if ks > min(h, w):
-        raise ValueError(f"local grid {ks} exceeds spatial extent {h}x{w}")
     pooled = T.adaptive_avg_pool(x, (ks, ks))  # (N, C, ks, ks)
 
     # global branch: GAP then 1-d conv along channels
@@ -251,6 +252,7 @@ def hca_params_flops(cfg, input_shape):
     n, c, h, w = input_shape
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")
+    cfg.check_extent(h, w)
     ks, k = cfg.local_grid, cfg.conv1d_kernel
     flops = n * c * h * w  # local average pooling reads each input once
     flops += n * c * ks * ks  # GAP over the pooled grid

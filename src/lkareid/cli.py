@@ -16,16 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import HcaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
+from .attention import ECA_B, ECA_GAMMA, LkaConfig, count_params_flops, eca_kernel_size
 from .evaluation import evaluate, evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
 from .tensor import NumericsError
-from .training import SyntheticDatasetSpec, TrainConfig, fit, split_query_gallery, synth_generate
+from .training import SyntheticDatasetSpec, TrainConfig, fit, pk_identities, split_query_gallery, synth_generate
 from .verify import TOLERANCE, run_gradcheck
 
 
 def cmd_inspect(args):
-    dec = decompose_large_kernel(args.K, args.d, channels=args.C)
+    dec = LkaConfig(args.C, args.K, args.d)
     k1d = eca_kernel_size(args.C, args.gamma, args.b)
     _, flops = count_params_flops(dec, (1, args.C, args.H, args.W))
     payload = {
@@ -165,11 +165,15 @@ def cmd_train(args):
     if args.seed is not None:
         resolved["seed"] = args.seed
     model_cfg, train_cfg, data_spec = _configs_from_resolved(resolved)
+    data = synth_generate(data_spec)
+    train_idx, _, _ = split_query_gallery(data, data_spec)
+    # settings that fail only together: an HCA grid larger than its branch
+    # map (the cost walk checks each block) and P above the split's identities
+    count_params_flops(model_cfg, (1, 3, data_spec.image_size, data_spec.image_size))
+    pk_identities(data.identity_index(train_idx), train_cfg.identities_per_batch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-    data = synth_generate(data_spec)
-    train_idx, _, _ = split_query_gallery(data, data_spec)
     state = build_model(model_cfg, train_cfg.seed)
     records = []
     with open(out_dir / "log.jsonl", "w", encoding="utf-8") as log:
@@ -243,8 +247,8 @@ def build_parser():
     p.add_argument("--C", type=int, default=256, help="channel count")
     p.add_argument("--H", type=int, default=32)
     p.add_argument("--W", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=HcaConfig.gamma)
-    p.add_argument("--b", type=float, default=HcaConfig.b)
+    p.add_argument("--gamma", type=float, default=ECA_GAMMA)
+    p.add_argument("--b", type=float, default=ECA_B)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 

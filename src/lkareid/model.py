@@ -36,6 +36,7 @@ from .attention import (
 from .tensor import Conv2dSpec, Tensor
 
 BRANCHES = ("l1", "l2", "h1", "h2")
+NUM_VIEWS = 2  # view 0 as seen, view 1 mirrored
 _LKA_BRANCHES = ("l1", "l2")
 _CLS_BRANCHES = ("l1", "h1")
 
@@ -56,13 +57,9 @@ class ModelConfig:
     lka_kernel: int = LkaConfig.kernel
     lka_dilation: int = LkaConfig.dilation
     hca_local_grid: int = HcaConfig.local_grid
-    hca_gamma: float = HcaConfig.gamma
-    hca_b: float = HcaConfig.b
     num_cameras: int = 4
-    num_views: int = 2
     metadata_embeddings_enabled: bool = False
     attention_enabled: bool = True
-    share_stem: bool = True
 
     def __post_init__(self):
         if self.num_identities < 1:
@@ -71,8 +68,8 @@ class ModelConfig:
             raise ValueError(f"invalid stem widths {self.stem_widths}")
         if self.feature_dim < 1 or self.blocks_per_branch < 1:
             raise ValueError("feature_dim and blocks_per_branch must be >= 1")
-        if self.num_cameras < 1 or self.num_views < 1:
-            raise ValueError("num_cameras and num_views must be >= 1")
+        if self.num_cameras < 1:
+            raise ValueError("num_cameras must be >= 1")
         object.__setattr__(self, "stem_widths", tuple(int(wd) for wd in self.stem_widths))
         self.lka_config()  # validates the attention settings
         self.hca_config()
@@ -85,7 +82,7 @@ class ModelConfig:
         return LkaConfig(self.branch_channels, self.lka_kernel, self.lka_dilation)
 
     def hca_config(self):
-        return HcaConfig(self.branch_channels, self.hca_local_grid, self.hca_gamma, self.hca_b)
+        return HcaConfig(self.branch_channels, self.hca_local_grid)
 
 
 @dataclass
@@ -133,15 +130,14 @@ class LayerPlan:
     """The whole network as ordered layers; parameters are created in the
     order `layers()` yields them."""
 
-    stems: tuple  # (stem name, conv layers): one shared, or one per branch
-    branches: tuple  # (branch, stem name, layers) in BRANCHES order
+    stem: tuple  # conv layers shared by every branch
+    branches: tuple  # (branch, layers) in BRANCHES order
     heads: tuple  # (branch, linear layer) for the classification branches
     meta: Layer
 
     def layers(self):
-        for _, layers in self.stems:
-            yield from layers
-        for _, _, layers in self.branches:
+        yield from self.stem
+        for _, layers in self.branches:
             yield from layers
         for _, head in self.heads:
             yield head
@@ -166,13 +162,9 @@ def layer_plan(cfg):
     enabled."""
     c = cfg.branch_channels
     widths = (3,) + cfg.stem_widths
-    stem_of = {br: "stem" if cfg.share_stem else f"stem_{br}" for br in BRANCHES}
-    stems = tuple(
-        (stem, tuple(
-            _conv(f"{stem}.{i}", Conv2dSpec(widths[i], widths[i + 1], (3, 3), stride=2, padding=1))
-            for i in range(len(cfg.stem_widths))
-        ))
-        for stem in dict.fromkeys(stem_of.values())
+    stem = tuple(
+        _conv(f"stem.{i}", Conv2dSpec(widths[i], widths[i + 1], (3, 3), stride=2, padding=1))
+        for i in range(len(cfg.stem_widths))
     )
     trunk = Conv2dSpec(c, c, (3, 3), stride=1, padding=1)
     lka_cfg, hca_cfg = cfg.lka_config(), cfg.hca_config()
@@ -188,13 +180,13 @@ def layer_plan(cfg):
             if cfg.attention_enabled:
                 layers.append(Layer(op, f"{base}.attn", attn_cfg, attn_params))
         layers += [Layer("gap", f"branch_{br}.gap"), _linear(f"branch_{br}.proj", cfg.feature_dim, c)]
-        branches.append((br, stem_of[br], tuple(layers)))
+        branches.append((br, tuple(layers)))
     heads = tuple((br, _linear(f"head_{br}", cfg.num_identities, cfg.feature_dim)) for br in _CLS_BRANCHES)
     meta = Layer("table", "meta", None, (
         ("camera", (cfg.num_cameras, cfg.feature_dim), _ZEROS),
-        ("view", (cfg.num_views, cfg.feature_dim), _ZEROS),
+        ("view", (NUM_VIEWS, cfg.feature_dim), _ZEROS),
     ))
-    return LayerPlan(stems, tuple(branches), heads, meta)
+    return LayerPlan(stem, tuple(branches), heads, meta)
 
 
 def parameter_shapes(cfg):
@@ -246,8 +238,8 @@ def _branch_embeddings(state, images):
     # center [0, 1] pixel intensities to [-1, 1]
     x = T.add(T.mul(x, 2.0), -1.0)
     plan = layer_plan(state.config)
-    stem_out = {stem: _run(state, layers, x) for stem, layers in plan.stems}
-    return {br: _run(state, layers, stem_out[stem]) for br, stem, layers in plan.branches}
+    x = _run(state, plan.stem, x)
+    return {br: _run(state, layers, x) for br, layers in plan.branches}
 
 
 def forward_train(state, images, camera_ids, view_ids):
@@ -260,7 +252,7 @@ def forward_train(state, images, camera_ids, view_ids):
     view_ids = np.asarray(view_ids)
     if camera_ids.size and camera_ids.max() >= cfg.num_cameras:
         raise ValueError("camera id out of range")
-    if view_ids.size and view_ids.max() >= cfg.num_views:
+    if view_ids.size and view_ids.max() >= NUM_VIEWS:
         raise ValueError("view id out of range")
 
     plan = layer_plan(cfg)
@@ -325,13 +317,10 @@ def model_params_flops(cfg, input_shape):
     if input_shape[1] != 3:
         raise ValueError("model input must have 3 channels")
     plan = layer_plan(cfg)
-    flops, stem_out = 0, {}
-    for stem, layers in plan.stems:
-        stem_flops, stem_out[stem] = _layers_flops(layers, input_shape)
-        flops += stem_flops
+    flops, stem_out = _layers_flops(plan.stem, input_shape)
     heads = dict(plan.heads)
-    for br, stem, layers in plan.branches:
-        branch_flops, emb_shape = _layers_flops(layers, stem_out[stem])
+    for br, layers in plan.branches:
+        branch_flops, emb_shape = _layers_flops(layers, stem_out)
         flops += branch_flops
         if br in heads:
             flops += _layers_flops((heads[br],), emb_shape)[0]

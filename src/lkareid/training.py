@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import ModelConfig, forward_train
+from .model import NUM_VIEWS, ModelConfig, forward_train
 from .tensor import NumericsError, Tensor
 
 
@@ -36,8 +36,8 @@ class TrainConfig:
     grad_clip_norm: float = 5.0  # 0 disables clipping
 
     def __post_init__(self):
-        if self.identities_per_batch < 1 or self.instances_per_identity < 1:
-            raise ValueError("P and K must both be >= 1")
+        if self.identities_per_batch < 2 or self.instances_per_identity < 1:
+            raise ValueError("P must be >= 2 (the triplet loss needs two identities) and K >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -60,12 +60,11 @@ class SyntheticDatasetSpec:
     num_identities: int = 16
     images_per_identity: int = 8
     num_cameras: int = ModelConfig.num_cameras
-    num_views: int = ModelConfig.num_views
     image_size: int = 48
     seed: int = TrainConfig.seed
 
     def __post_init__(self):
-        for name in ("num_identities", "images_per_identity", "num_cameras", "num_views", "image_size"):
+        for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -168,12 +167,17 @@ def batch_hard_triplet_loss(embeddings, labels, margin=TrainConfig.margin):
 # sampling
 
 
+def pk_identities(index, p):
+    """The sorted labels of `index`; a PK batch draws P of them."""
+    if len(index) < p:
+        raise ValueError(f"need at least {p} identities, have {len(index)}")
+    return sorted(index)
+
+
 def pk_sample(index, p, k_inst, rng):
     """Pick P distinct identities with K instances each; identities with
     fewer than K samples are drawn with replacement."""
-    labels = sorted(index)
-    if len(labels) < p:
-        raise ValueError(f"need at least {p} identities, have {len(labels)}")
+    labels = pk_identities(index, p)
     chosen = rng.choice(len(labels), size=p, replace=False)
     batch = []
     for li in chosen:
@@ -227,7 +231,7 @@ def synth_generate(spec):
         pattern = _identity_pattern(spec, identity)
         for index in range(spec.images_per_identity):
             camera = index % spec.num_cameras
-            view = (index // spec.num_cameras) % spec.num_views
+            view = (index // spec.num_cameras) % NUM_VIEWS
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 11, identity, index]))
             img = _camera_transform(pattern, camera, rng)
             if view == 1:
@@ -245,9 +249,9 @@ def synth_generate(spec):
 
 
 def split_query_gallery(data, spec):
-    """Held-out evaluation split: per identity, sample 0 (camera 0) is the
-    query, samples at cameras 1.. in the mirrored view are gallery, the
-    rest train."""
+    """Held-out evaluation split.  Sample j of an identity, at camera
+    j % num_cameras and view (j // num_cameras) % NUM_VIEWS, is the query if
+    j = 0, gallery if j >= num_cameras and its camera is not 0, else train."""
     train_idx, query_idx, gallery_idx = [], [], []
     per_id = spec.images_per_identity
     for identity in range(spec.num_identities):

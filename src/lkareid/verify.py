@@ -18,7 +18,7 @@ from .attention import (
     lka_forward,
     lka_param_shapes,
 )
-from .model import ModelConfig, build_model, forward_train
+from .model import NUM_VIEWS, ModelConfig, build_model, forward_train
 from .tensor import Tensor, gradient_check
 from .training import batch_hard_triplet_loss, cross_entropy_loss
 
@@ -95,7 +95,7 @@ def gradcheck_model(seed):
     rng = np.random.default_rng(seed + 1)
     images = Tensor(rng.uniform(0.0, 1.0, (2, 3, 8, 8)))
     cams = rng.integers(0, cfg.num_cameras, 2)
-    views = rng.integers(0, cfg.num_views, 2)
+    views = rng.integers(0, NUM_VIEWS, 2)
     # nonzero metadata tables so their gradients are exercised
     for name in ("meta.camera", "meta.view"):
         state.params[name].data += rng.normal(0.0, 0.1, state.params[name].shape)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from lkareid.attention import LkaConfig, count_params_flops, decompose_large_kernel, eca_kernel_size
+from lkareid.attention import LkaConfig, count_params_flops, eca_kernel_size
 from lkareid.attention import init_params, lka_param_shapes, lka_forward
 from lkareid.evaluation import Sample, evaluate_features
 from lkareid.model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
@@ -44,7 +44,7 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_decomposition():
     ok = True
     for kernel, dilation in ((21, 3), (13, 3), (7, 2), (5, 2)):
-        d = decompose_large_kernel(kernel, dilation)
+        d = LkaConfig(1, kernel, dilation)
         # unit-impulse support through dw-conv then dilated dw-conv
         size = 2 * d.receptive_field + 7
         x = np.zeros((1, 1, size, size))
@@ -62,7 +62,7 @@ def test_criterion_2_decomposition():
         expected = (d.dd_kernel - 1) * dilation + (2 * dilation - 2) + 1
         ok &= support == expected == d.receptive_field
         for channels in (16, 64, 256):
-            dc = decompose_large_kernel(kernel, dilation, channels=channels)
+            dc = LkaConfig(channels, kernel, dilation)
             ok &= dc.params_decomposed < dc.params_depthwise_full < dc.params_full_conv
     _verdict(2, "decomposition", ok)
 

@@ -8,7 +8,6 @@ from lkareid.attention import (
     HcaConfig,
     LkaConfig,
     count_params_flops,
-    decompose_large_kernel,
     eca_kernel_size,
     hca_attention_map,
     hca_forward,
@@ -27,32 +26,32 @@ from oracles import conv2d_oracle, hca_oracle, lka_oracle
 
 
 def test_decompose_21_3():
-    d = decompose_large_kernel(21, 3)
+    d = LkaConfig(1, 21, 3)
     assert (d.dw_kernel, d.dd_kernel, d.dilation, d.receptive_field) == (5, 7, 3, 23)
 
 
 def test_decompose_identity_case():
-    d = decompose_large_kernel(1, 1)
+    d = LkaConfig(1, 1, 1)
     assert (d.dw_kernel, d.dd_kernel, d.dilation, d.receptive_field) == (1, 1, 1, 1)
 
 
 def test_decompose_13_3():
-    d = decompose_large_kernel(13, 3)
+    d = LkaConfig(1, 13, 3)
     assert (d.dw_kernel, d.dd_kernel, d.dilation, d.receptive_field) == (5, 5, 3, 17)
 
 
 def test_decompose_rejects_bad_args():
     with pytest.raises(ValueError):
-        decompose_large_kernel(4, 1)
+        LkaConfig(1, 4, 1)
     with pytest.raises(ValueError):
-        decompose_large_kernel(7, 0)
+        LkaConfig(1, 7, 0)
     with pytest.raises(ValueError):
-        decompose_large_kernel(7, 9)
+        LkaConfig(1, 7, 9)
 
 
 def _impulse_support(kernel, dilation):
     """Spatial support of dw-conv followed by dilated dw-conv on a unit impulse."""
-    d = decompose_large_kernel(kernel, dilation)
+    d = LkaConfig(1, kernel, dilation)
     size = 2 * d.receptive_field + 7
     x = np.zeros((1, 1, size, size))
     x[0, 0, size // 2, size // 2] = 1.0
@@ -68,7 +67,7 @@ def _impulse_support(kernel, dilation):
 
 @pytest.mark.parametrize("kernel,dilation", [(21, 3), (13, 3), (7, 2), (5, 2)])
 def test_receptive_field_matches_impulse_oracle(kernel, dilation):
-    d = decompose_large_kernel(kernel, dilation)
+    d = LkaConfig(1, kernel, dilation)
     assert _impulse_support(kernel, dilation) == d.receptive_field
     assert d.receptive_field >= kernel
 
@@ -76,18 +75,14 @@ def test_receptive_field_matches_impulse_oracle(kernel, dilation):
 @pytest.mark.parametrize("channels", [16, 64, 256])
 @pytest.mark.parametrize("kernel,dilation", [(21, 3), (13, 3), (7, 2), (5, 2)])
 def test_parameter_ordering(kernel, dilation, channels):
-    d = decompose_large_kernel(kernel, dilation, channels=channels)
+    d = LkaConfig(channels, kernel, dilation)
     assert d.params_decomposed < d.params_depthwise_full < d.params_full_conv
 
 
 def test_param_counts_21_3_256():
-    d = decompose_large_kernel(21, 3, channels=256)
+    d = LkaConfig(256, 21, 3)
     assert d.params_decomposed == 256 * 25 + 256 * 49 + 256 * 256 == 84480
     assert d.params_full_conv == 256 * 256 * 441 == 28901376
-
-
-def test_decompose_is_the_block_config():
-    assert decompose_large_kernel(21, 3, channels=256) == LkaConfig(256, 21, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +101,6 @@ def test_eca_kernel_size_table():
 def test_eca_kernel_size_rejects_non_finite_settings(gamma, b):
     with pytest.raises(ValueError):
         eca_kernel_size(64, gamma, b)
-    with pytest.raises(ValueError):
-        HcaConfig(64, gamma=gamma, b=b)
 
 
 def test_eca_kernel_size_odd_and_monotone():

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, determinism,
 and output artifacts."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -214,6 +215,11 @@ def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
 @pytest.mark.parametrize("setting", [
     "num_cameras=0", "images_per_identity=0", "image_size=0", "hca_local_grid=0", "lka_kernel=4",
     "lr=nan", "momentum=inf", "margin=-inf", "grad_clip_norm=nan",
+    # P=1 leaves the triplet loss one identity; P=5 and num_identities=1 ask
+    # for more identities per batch than the 4 (or 1) of the training split;
+    # the HCA grid of 9 exceeds the 8x8 branch map, and a grid of 2 the 1x1
+    # map of 2x2 images
+    "p=1", "p=5", "num_identities=1", "hca_local_grid=9", "image_size=2",
 ])
 def test_train_invalid_setting_exits_1_before_writing(capsys, tmp_path, setting):
     out_dir = tmp_path / "run"
@@ -253,11 +259,11 @@ DEFAULT_CONFIG_JSON = """{
 
 
 def test_train_default_config_json_golden(capsys, tmp_path, monkeypatch):
-    def stop(spec):
+    def stop(*args, **kwargs):
         raise ValueError("stopped before training")
 
-    # config.json is written before the dataset is built
-    monkeypatch.setattr(cli, "synth_generate", stop)
+    # config.json is written before training starts
+    monkeypatch.setattr(cli, "fit", stop)
     code, _, _ = run_cli(capsys, "train", "--out", str(tmp_path / "run"))
     assert code == 1
     assert (tmp_path / "run/config.json").read_text() == DEFAULT_CONFIG_JSON
@@ -267,6 +273,17 @@ def test_default_keys_build_the_default_configs():
     assert cli._configs_from_resolved(resolve_train_config()) == (
         ModelConfig(num_identities=16), TrainConfig(), SyntheticDatasetSpec(),
     )
+
+
+def test_every_config_field_is_a_train_key():
+    """lkareid train is the one way to configure a run, so a config field
+    that no key sets would be reachable only from code."""
+    set_by_keys = {(cls, name) for fields in cli._TRAIN_KEYS.values() for cls, name in fields}
+    every_field = {
+        (cls, f.name) for cls in (ModelConfig, TrainConfig, SyntheticDatasetSpec)
+        for f in dataclasses.fields(cls)
+    }
+    assert every_field - set_by_keys == set()
 
 
 def test_train_rejects_unknown_key(capsys, tmp_path):

@@ -86,8 +86,7 @@ def test_invalid_config_rejected():
         ModelConfig(num_identities=0)
     with pytest.raises(ValueError):
         ModelConfig(num_identities=4, stem_widths=())
-    for bad in ({"num_cameras": 0}, {"num_views": 0}, {"lka_kernel": 4}, {"lka_dilation": 9},
-                {"hca_local_grid": 0}, {"hca_gamma": float("nan")}, {"hca_b": float("inf")}):
+    for bad in ({"num_cameras": 0}, {"lka_kernel": 4}, {"lka_dilation": 9}, {"hca_local_grid": 0}):
         with pytest.raises(ValueError):
             ModelConfig(num_identities=4, **bad)
 
@@ -240,16 +239,6 @@ def test_attention_disabled_changes_layout():
     assert not any(".attn." in name for name, _, _ in off)
 
 
-def test_unshared_stem_layout():
-    shapes = parameter_shapes(tiny_cfg(share_stem=False))
-    names = [n for n, _, _ in shapes]
-    for br in M.BRANCHES:
-        assert f"stem_{br}.0.weight" in names
-    state = build_model(tiny_cfg(share_stem=False), 0)
-    feats = extract_features(state, rand_images(np.random.default_rng(9))).data
-    assert feats.shape == (2, 32)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -383,7 +372,9 @@ BAD_SNAPSHOTS = {
     "unknown_key": lambda d: d.update(extra=1),
     "wrong_type": lambda d: d.update(num_identities="4"),
     "even_kernel": lambda d: d.update(lka_kernel=4),
-    "missing_default": lambda d: d.pop("hca_b"),
+    "missing_default": lambda d: d.pop("metadata_embeddings_enabled"),
+    # a snapshot written before the stem, view count and ECA settings were fixed
+    "parent_era": lambda d: d.update(hca_b=2.0, hca_gamma=2.0, num_views=2, share_stem=True),
 }
 
 
@@ -402,12 +393,12 @@ def test_checkpoint_bad_config_snapshot(tmp_path, case):
 
 @pytest.mark.parametrize("cfg,shape,count,cost,digest", [
     (ModelConfig(num_identities=16), (1, 3, 48, 48), 128, (590216, 41334912),
-     "db32db7de0c4ef350d3040d7d9cfff487445c4cf00b23366ccf256fb3be3fe71"),
+     "43029c9caf5b8f2cbbf119988042d71c0c29af32c857edef55572cf05ce52ca4"),
     (tiny_cfg(), (1, 3, 8, 8), 52, (1280, 31976),
-     "6e748c85b28d81db1754bd5e188370a4fe033081360455a93340322a70206b80"),
-    (tiny_cfg(share_stem=False, attention_enabled=False), (1, 3, 8, 8), 30, (1320, 33408),
-     "8eb6490d362efd5177c0d8d9cbf9151e62819af399b1a2bc2647ede445b3f1fb"),
-], ids=["desk", "tiny", "tiny_unshared_no_attention"])
+     "5c4a86cfc920073769c08be02dd286f91f53876404bd32721f96bac3144e42b9"),
+    (tiny_cfg(attention_enabled=False), (1, 3, 8, 8), 24, (984, 22848),
+     "a5586241ecb11b1a5669985b26dd2c1b712aa601ef8c3dcc4cd1c160dfad73e8"),
+], ids=["desk", "tiny", "tiny_no_attention"])
 def test_layout_golden(tmp_path, cfg, shape, count, cost, digest):
     path = tmp_path / "m.lkar"
     save_checkpoint(build_model(cfg, 0), path)

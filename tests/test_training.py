@@ -366,8 +366,9 @@ def test_optimizer_slots_start_at_zero():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(identities_per_batch=0)
+    for p in (0, 1):  # the triplet loss needs two identities per batch
+        with pytest.raises(ValueError, match="P must be >= 2"):
+            TrainConfig(identities_per_batch=p)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
@@ -378,7 +379,7 @@ def test_train_config_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TrainConfig(**{name: value})
-    for name in ("num_identities", "images_per_identity", "num_cameras", "num_views", "image_size"):
+    for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SyntheticDatasetSpec(**{name: 0})
     assert TrainConfig(steps=0).steps == 0
