@@ -8,11 +8,18 @@ order, as a stable sort by descending similarity would place them; only
 the positives' ranks are computed.  Features must be finite, 2-d, with
 exactly one row per sample.
 
+Cosine similarity divides each row by its L2 norm.  A row whose squared
+norm over- or underflows a double (computed norm inf, or 0 with a nonzero
+entry) is divided by its max |value| first; an all-zero row is an error.
+The gallery is normalized once; the queries are ranked QUERY_BLOCK rows at
+a time against it, so no query x gallery matrix is ever held.
+
 A manifest line is one RFC 8259 JSON text, decoded by orjson: NaN,
 Infinity, numbers that overflow a double and lone surrogate escapes are
 invalid JSON.  A manifest feature is a flat list of JSON numbers.  Each is
 converted and checked once, as its line is read, into the manifest's
-float64 feature matrix; any malformed line, undecodable bytes included,
+float64 feature matrix, which grows as lines arrive, so the file is read
+once and may be a pipe; any malformed line, undecodable bytes included,
 raises ManifestError with its line number.
 """
 from __future__ import annotations
@@ -30,6 +37,10 @@ FORMAT_VERSION = 1
 # nested some 150000 deep, so a line with more '[' and '{' than this is
 # rejected before it is decoded.  A valid record needs two.
 MAX_BRACKETS = 1024
+
+# Query rows whose similarities to the whole gallery are held at once: 24 MB
+# of float64 against a VeRi-776 gallery, where all 1678 queries take 155 MB.
+QUERY_BLOCK = 256
 
 _VERI_NAME = re.compile(r"^(\d+)_c(\d+)[_.]")
 
@@ -116,19 +127,40 @@ def parse_veri_name(name):
     return int(m.group(1)), int(m.group(2))
 
 
-def _feature_row(feature, first_row):
-    """A finite row of JSON numbers, as long as first_row if one is given."""
+def _feature_row(feature, dim):
+    """A finite row of JSON numbers, dim long if dim is given."""
     row = np.asarray(feature)
     if row.ndim != 1:
         raise ValueError("feature must be a flat vector")
     # numpy reads JSON true/false among numbers as 1/0, so look for them where a value is 0 or 1
     if row.dtype.kind not in "iuf" or ((row == row.astype(bool)).any() and bool in map(type, feature)):
         raise ValueError("feature values must be JSON numbers")
-    if first_row is not None and row.size != first_row.size:
-        raise ValueError(f"feature dim {row.size} != {first_row.size}")
+    if dim is not None and row.size != dim:
+        raise ValueError(f"feature dim {row.size} != {dim}")
     if not np.isfinite(row).all():
         raise ValueError("sample feature contains non-finite values")
     return row
+
+
+class _FeatureRows:
+    """Checked feature rows written into one float64 matrix that doubles
+    its capacity when full, so no row is held twice and the rows need not
+    be counted before they are read."""
+
+    def __init__(self):
+        self.matrix = None
+        self.count = 0
+
+    def append(self, feature):
+        row = _feature_row(feature, None if self.matrix is None else self.matrix.shape[1])
+        if self.matrix is None:
+            self.matrix = np.empty((64, row.size), dtype=np.float64)
+        elif self.count == len(self.matrix):
+            grown = np.empty((2 * self.count, row.size), dtype=np.float64)
+            grown[: self.count] = self.matrix
+            self.matrix = grown
+        self.matrix[self.count] = row
+        self.count += 1
 
 
 def _parse_record(record, seen_paths, rows):
@@ -153,7 +185,7 @@ def _parse_record(record, seen_paths, rows):
         vid, cam = parse_veri_name(rec_path)
     sample = Sample(vid, cam, record.get("view_id"), rec_path)
     if feature is not None:
-        rows.append(_feature_row(feature, rows[0] if rows else None))
+        rows.append(feature)
     return sample
 
 
@@ -164,9 +196,9 @@ def load_manifest(path, split="gallery"):
     MAX_BRACKETS '[' and '{' in all, a cap that keeps the decoder from
     recursing deep enough to crash.  Ids must be non-negative JSON integers
     (view_id may also be null).  Features are stacked into the manifest's
-    float64 matrix when every record has one.  Any defect in a line
-    raises ManifestError naming the file and line."""
-    samples, rows, seen_paths = [], [], set()
+    float64 matrix, in one pass, when every record has one.  Any defect in
+    a line raises ManifestError naming the file and line."""
+    samples, rows, seen_paths = [], _FeatureRows(), set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -181,19 +213,35 @@ def load_manifest(path, split="gallery"):
                 raise ManifestError(f"{path}:{lineno}: {reason}") from exc
     if not samples:
         raise ManifestError(f"{path}: manifest is empty")
-    matrix = np.stack(rows, dtype=np.float64) if len(rows) == len(samples) else None
+    matrix = rows.matrix[: rows.count] if rows.count == len(samples) else None
     return Manifest(split, samples, matrix)
+
+
+def _unit_rows(feats):
+    """Each row divided by its L2 norm.  A row whose squared norm over- or
+    underflows (computed norm inf, or 0 with a nonzero entry) is divided by
+    its max |value| first; every other row is divided by its norm as
+    computed.  An all-zero row raises."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    odd = ((norms == 0) | (norms == np.inf))[:, 0]
+    if not odd.any():
+        return feats / norms
+    peaks = np.abs(feats[odd]).max(axis=1, keepdims=True, initial=0.0)
+    if not peaks.all():
+        raise ValueError("zero-norm feature row")
+    norms[odd] = 1.0
+    unit = feats / norms
+    scaled = feats[odd] / peaks  # entries at most 1 in size, one of them exactly
+    unit[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return unit
 
 
 def pairwise_cosine(queries, gallery):
     """Cosine similarity matrix (Q, G); rows must have nonzero norm."""
     q = np.asarray(queries, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    gn = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(qn == 0) or np.any(gn == 0):
-        raise ValueError("zero-norm feature row")
-    return (q / qn) @ (g / gn).T
+    return _unit_rows(q) @ _unit_rows(g).T
 
 
 def _id_arrays(samples):
@@ -282,18 +330,24 @@ def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples
     gallery_feats = _feature_rows("gallery", gallery_feats, gallery_samples)
     if query_feats.shape[1] != gallery_feats.shape[1]:
         raise ValueError("query and gallery feature dims differ")
-    sims = pairwise_cosine(query_feats, gallery_feats)
+    gallery_t = _unit_rows(gallery_feats).T
+    query_unit = _unit_rows(query_feats)
     gallery_ids, gallery_cams = _id_arrays(gallery_samples)
     per_query_ap = []
     first_hits = []
-    for row, query in zip(sims, query_samples):
-        valid = ~_junk(query.vehicle_id, query.camera_id, gallery_ids, gallery_cams)
-        positives = np.flatnonzero(valid & (gallery_ids == query.vehicle_id))
-        if positives.size == 0:
-            continue
-        ranks = _positive_ranks(row, valid, positives)
-        per_query_ap.append(_ap(ranks))
-        first_hits.append(ranks[0] + 1)
+    # one block buffer, so no two blocks of similarities are ever held at once
+    sims = np.empty((min(QUERY_BLOCK, len(query_unit)), len(gallery_samples)))
+    for start in range(0, len(query_unit), QUERY_BLOCK):
+        block = query_unit[start : start + QUERY_BLOCK]
+        np.matmul(block, gallery_t, out=sims[: len(block)])
+        for row, query in zip(sims, query_samples[start : start + QUERY_BLOCK]):
+            valid = ~_junk(query.vehicle_id, query.camera_id, gallery_ids, gallery_cams)
+            positives = np.flatnonzero(valid & (gallery_ids == query.vehicle_id))
+            if positives.size == 0:
+                continue
+            ranks = _positive_ranks(row, valid, positives)
+            per_query_ap.append(_ap(ranks))
+            first_hits.append(ranks[0] + 1)
     if not first_hits:
         raise ValueError("all queries were skipped; nothing to evaluate")
     first_hits = np.asarray(first_hits)

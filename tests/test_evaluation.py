@@ -3,13 +3,19 @@ CMC, and the full report against an enumerated oracle."""
 import hashlib
 import itertools
 import json
+import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lkareid import evaluation
 from lkareid.evaluation import (
     MAX_BRACKETS,
+    QUERY_BLOCK,
     ManifestError,
     Sample,
     apply_protocol_filter,
@@ -279,6 +285,41 @@ def test_manifest_features_need_a_feature_on_every_record(tmp_path):
         man.features()
 
 
+def test_manifest_rows_load_bitwise_into_one_contiguous_matrix(tmp_path):
+    # 1000 rows outgrow the matrix's first capacity several times
+    rng = np.random.default_rng(7)
+    rows = rng.normal(scale=1e3, size=(1000, 3)).tolist()
+    rows[5] = [-0.0, 0.0, 1e-310]
+    rows[900] = [1, -2, 3]  # JSON integers
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [{"feature": row, "vehicle_id": i, "camera_id": 0} for i, row in enumerate(rows)])
+    feats = load_manifest(path, split="gallery").features()
+    want = np.array(rows)
+    assert feats.dtype == np.float64 and feats.flags.c_contiguous
+    assert feats.shape == want.shape and feats.tobytes() == want.tobytes()
+
+
+def test_load_manifest_reads_a_pipe(tmp_path):
+    # the loader reads each line once, without counting or seeking
+    path = tmp_path / "pipe.jsonl"
+    os.mkfifo(path)
+    lines = "".join(
+        json.dumps({"feature": [float(i), 1.0], "vehicle_id": i, "camera_id": 0}) + "\n" for i in range(300)
+    )
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(lines)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    man = load_manifest(path, split="query")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [s.vehicle_id for s in man.samples] == list(range(300))
+    assert np.array_equal(man.features(), [[float(i), 1.0] for i in range(300)])
+
+
 # ---------------------------------------------------------------------------
 # cosine similarity
 
@@ -301,6 +342,40 @@ def test_cosine_matches_loop_oracle():
 def test_cosine_zero_norm_rejected():
     with pytest.raises(ValueError):
         pairwise_cosine(np.zeros((1, 3)), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("gallery", [[[0.0, 0.0], [1.0, 1.0]], [[1e300, 1.0], [0.0, 0.0]]])
+def test_all_zero_row_raises_zero_norm(gallery):
+    q_meta, g_meta = [(0, 0)], [(0, 1), (1, 1)]
+    with pytest.raises(ValueError, match="zero-norm feature row"):
+        pairwise_cosine([[1.0, 0.0]], gallery)
+    with pytest.raises(ValueError, match="zero-norm feature row"):
+        evaluate_features([[1.0, 0.0]], _samples(q_meta), gallery, _samples(g_meta))
+
+
+def test_cosine_of_rows_whose_squared_norm_overflows_or_underflows():
+    assert pairwise_cosine([[1e300, 1e300]], [[1, 1]])[0, 0] == pairwise_cosine([[1, 1]], [[1, 1]])[0, 0]
+    assert pairwise_cosine([[1e300, 1e300]], [[1, 1]])[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert pairwise_cosine([[1e-200, 0.0]], [[3.0, 4.0]])[0, 0] == pytest.approx(0.6, abs=1e-15)
+    assert pairwise_cosine([[5e-324, 0.0]], [[0.0, 2.0], [2.0, 0.0]]).tolist() == [[0.0, 1.0]]
+
+
+def test_report_is_unchanged_by_rows_scaled_beyond_the_squared_range():
+    rng = np.random.default_rng(11)
+    q_meta = [(int(v), 0) for v in rng.integers(0, 6, 40)]
+    g_meta = [(int(v), int(c)) for v, c in zip(rng.integers(0, 6, 90), rng.integers(0, 3, 90))]
+    q_feats, g_feats = rng.normal(size=(40, 6)), rng.normal(size=(90, 6))
+    base = evaluate_features(q_feats, _samples(q_meta), g_feats, _samples(g_meta), max_rank=8)
+    # powers of two scale exactly; the squares of the scaled rows overflow or underflow
+    q_scaled = q_feats * np.array([2.0**900, 2.0**-900, 1.0])[np.arange(40) % 3, None]
+    g_scaled = g_feats * np.array([2.0**-900, 2.0**900])[np.arange(90) % 2, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = evaluate_features(q_scaled, _samples(q_meta), g_scaled, _samples(g_meta), max_rank=8)
+    np.testing.assert_allclose(scaled.per_query_ap, base.per_query_ap, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scaled.cmc, base.cmc, rtol=0, atol=1e-12)
+    assert scaled.first_hit_ranks.tolist() == base.first_hit_ranks.tolist()
+    assert scaled.skipped_queries == base.skipped_queries
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +564,57 @@ def test_evaluate_from_feature_manifests(tmp_path):
     ])
     report = evaluate(load_manifest(q_path, "query"), load_manifest(g_path, "gallery"), max_rank=3)
     assert report.map_score == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_queries", [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 3])
+def test_streamed_ranking_matches_oracle(n_queries):
+    rng = np.random.default_rng(n_queries)
+    # every identity 0-4 is in every camera 0-2, so only identity 9 is skipped
+    g_meta = [(i % 5, i % 3) for i in range(15)]
+    g_feats = rng.normal(size=(15, 4))
+    q_meta = [(int(v), int(c)) for v, c in zip(rng.integers(0, 5, n_queries), rng.integers(0, 3, n_queries))]
+    for i in (QUERY_BLOCK - 1, QUERY_BLOCK, 2 * QUERY_BLOCK - 1, 2 * QUERY_BLOCK):
+        if i < n_queries:
+            q_meta[i] = (9, 0)
+    q_feats = rng.normal(size=(n_queries, 4))
+    report = evaluate_features(q_feats, _samples(q_meta), g_feats, _samples(g_meta), max_rank=15)
+    want_map, want_cmc, want_skipped = retrieval_oracle(q_feats, q_meta, g_feats, g_meta, max_rank=15)
+    assert report.skipped_queries == want_skipped
+    assert abs(report.map_score - want_map) <= 1e-12
+    np.testing.assert_allclose(report.cmc, want_cmc, rtol=0, atol=1e-12)
+    scored = [qi for qi, (vid, _) in enumerate(q_meta) if vid != 9]
+    assert len(report.per_query_ap) == len(scored)
+    for qi, ap in zip(scored, report.per_query_ap):
+        want_ap, _, _ = retrieval_oracle(q_feats[qi:qi + 1], q_meta[qi:qi + 1], g_feats, g_meta, max_rank=15)
+        assert abs(ap - want_ap) <= 1e-12
+
+
+def test_zero_norm_query_in_last_block_raises_before_ranking(monkeypatch):
+    ranked = []
+    monkeypatch.setattr(evaluation, "_positive_ranks", lambda *args: ranked.append(args))
+    n_queries = 2 * QUERY_BLOCK + 3
+    q_feats = np.ones((n_queries, 3))
+    q_feats[-1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm feature row"):
+        evaluate_features(
+            q_feats, _samples([(0, 0)] * n_queries), np.eye(3), _samples([(0, 1), (1, 1), (2, 1)])
+        )
+    assert ranked == []
+
+
+def test_evaluate_holds_no_query_by_gallery_matrix():
+    n_q, n_g, dim = 2048, 8192, 8
+    rng = np.random.default_rng(3)
+    q_feats, g_feats = rng.normal(size=(n_q, dim)), rng.normal(size=(n_g, dim))
+    q_samples = _samples([(i % 100, 0) for i in range(n_q)])
+    g_samples = _samples([(i % 100, 1 + i % 3) for i in range(n_g)])
+    tracemalloc.start()
+    try:
+        evaluate_features(q_feats, q_samples, g_feats, g_samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_q * n_g * 8 / 4
 
 
 # ---------------------------------------------------------------------------
