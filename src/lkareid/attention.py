@@ -94,7 +94,8 @@ def eca_kernel_size(channels, gamma=ECA_GAMMA, b=ECA_B):
 
     t = log2(C)/gamma + b/gamma, truncated toward zero; even values are
     bumped up by one and the result is clamped to >= 1.  gamma must be
-    finite and > 0, and t finite, which needs a finite b.
+    finite and > 0, and t finite, which needs a finite b.  A kernel wider
+    than 2C - 1 is rejected: its outer taps could only ever read padding.
     """
     if channels < 1:
         raise ValueError("channels must be >= 1")
@@ -108,6 +109,8 @@ def eca_kernel_size(channels, gamma=ECA_GAMMA, b=ECA_B):
         k += 1
     if k < 1:
         k = 1
+    if k > 2 * channels - 1:
+        raise ValueError(f"conv1d kernel {k} is wider than 2C - 1 = {2 * channels - 1} for C={channels}")
     return k
 
 

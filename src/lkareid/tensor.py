@@ -14,6 +14,13 @@ columns and runs one GEMM over the whole batch; a depthwise one
 multiply-adds the slices directly.  Other group counts are rejected.  The
 slow reference is `tests/oracles.conv2d_oracle`.
 
+Pooling adds each bin's window tap by tap in row-major order, the per-bin
+order of numpy's mean of a 2 x 2 window, with one slice or gather per tap
+across all bins; a one-bin grid is one whole-plane mean.  The backward
+passes of `adaptive_avg_pool` and `anti_pool` add each position's terms in
+bin order.  The slow references are `tests/oracles.adaptive_pool_oracle`
+and `anti_pool_oracle`.
+
 A convolution's geometry is decided once: `Conv2dSpec` normalizes kernel,
 stride, dilation and padding when it is built, and everything else reads
 its fields.  `conv1d` takes its kernel size from the weight's length.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, expit
@@ -510,6 +518,57 @@ def _pool_bins(extent, out_extent):
     ]
 
 
+def _ranks(members):
+    """`members[a]` lists a's members in ascending order.  Rank k pairs every
+    a that has a k-th member with that member: (a index, member index), each
+    a slice where it is a run of consecutive integers."""
+
+    def index(ix):
+        return slice(ix[0], ix[-1] + 1) if list(ix) == list(range(ix[0], ix[-1] + 1)) else np.array(ix)
+
+    return tuple(
+        tuple(index(ix) for ix in zip(*[(a, m[k]) for a, m in enumerate(members) if len(m) > k]))
+        for k in range(max(map(len, members)))
+    )
+
+
+@lru_cache(maxsize=32)
+def _axis_ranks(extent, out_extent):
+    """One pooling axis: the bin sizes; each position's owner, the last bin
+    covering it (so later bins win where bins overlap); and the rank maps
+    of each bin's taps (bin, position), of each position's covering bins
+    (position, bin) and of each bin's owned positions (bin, position)."""
+    bins = _pool_bins(extent, out_extent)
+    covers = [[i for i, (a, b) in enumerate(bins) if a <= p < b] for p in range(extent)]
+    owner = [cover[-1] for cover in covers]
+    return (
+        np.array([b - a for a, b in bins]),
+        np.array(owner),
+        _ranks([range(a, b) for a, b in bins]),
+        _ranks(covers),
+        _ranks([[p for p in range(extent) if owner[p] == i] for i in range(out_extent)]),
+    )
+
+
+def _rank_sum(src, out_hw, rows, cols):
+    """Channels-last (oh, ow, N, C) sums from zero of out[a, b] += src[:, :,
+    p, q], rank by rank in (row rank, column rank) order, so each output
+    element adds its terms in rank order."""
+    s = np.ascontiguousarray(src.transpose(2, 3, 0, 1))
+    out = np.zeros(tuple(out_hw) + s.shape[2:], dtype=s.dtype)
+    for ra, rp in rows:
+        for ca, cp in cols:
+            out[_grid(ra, ca)] += s[_grid(rp, cp)]
+    return out
+
+
+def _grid(r, c):
+    """Leading-axes index of the rows `r` x columns `c` grid."""
+    if isinstance(r, np.ndarray) and isinstance(c, np.ndarray):
+        return r[:, None], c[None, :]
+    return r, c
+
+
 def adaptive_avg_pool(x, out_hw):
     """Average-pool NCHW input to an (oh, ow) grid; (1, 1) is the global mean."""
     if x.data.ndim != 4:
@@ -518,34 +577,19 @@ def adaptive_avg_pool(x, out_hw):
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if not (1 <= oh <= h and 1 <= ow <= w):
         raise ValueError(f"pool output {oh}x{ow} invalid for input {h}x{w}")
-    rows = _pool_bins(h, oh)
-    cols = _pool_bins(w, ow)
-    out_data = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out_data[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+    row_sizes, _, row_taps, row_covers, _ = _axis_ranks(h, oh)
+    col_sizes, _, col_taps, col_covers, _ = _axis_ranks(w, ow)
+    area = np.outer(row_sizes, col_sizes).astype(x.dtype)
+    if oh == ow == 1:
+        out_data = x.data.mean(axis=(2, 3), keepdims=True)
+    else:
+        sums = _rank_sum(x.data, (oh, ow), row_taps, col_taps)
+        out_data = np.ascontiguousarray(sums.transpose(2, 3, 0, 1)) / area
 
     def _bw(g):
-        dx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                area = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += g[:, :, i : i + 1, j : j + 1] / area
-        _accum(x, dx)
+        _accum(x, _rank_sum(g / area, (h, w), row_covers, col_covers).transpose(2, 3, 0, 1))
 
     return _node(out_data, [x], "adaptive_avg_pool", _bw)
-
-
-def _owner_map(extent, out_extent):
-    """For each output position, the bin whose value it replicates.
-
-    Later bins win where the floor/ceil bins overlap, matching a
-    replication loop in bin order.
-    """
-    owner = np.zeros(extent, dtype=np.intp)
-    for i, (a, b) in enumerate(_pool_bins(extent, out_extent)):
-        owner[a:b] = i
-    return owner
 
 
 def anti_pool(x, target_hw):
@@ -556,13 +600,11 @@ def anti_pool(x, target_hw):
     h, w = int(target_hw[0]), int(target_hw[1])
     if h < oh or w < ow:
         raise ValueError(f"anti_pool target {h}x{w} smaller than input {oh}x{ow}")
-    owner_h = _owner_map(h, oh)
-    owner_w = _owner_map(w, ow)
+    _, owner_h, _, _, row_owned = _axis_ranks(h, oh)
+    _, owner_w, _, _, col_owned = _axis_ranks(w, ow)
 
     def _bw(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), owner_h[:, None], owner_w[None, :]), g)
-        _accum(x, dx)
+        _accum(x, _rank_sum(g, (oh, ow), row_owned, col_owned).transpose(2, 3, 0, 1))
 
     return _node(x.data[:, :, owner_h[:, None], owner_w[None, :]], [x], "anti_pool", _bw)
 

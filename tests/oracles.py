@@ -81,6 +81,33 @@ def anti_pool_oracle(x, h, w):
     return out
 
 
+def adaptive_pool_grad_oracle(g, h, w):
+    """Input gradient of adaptive_pool_oracle, in g's dtype: each bin adds
+    its share g / area over its window, bins in row-major order."""
+    n, c, oh, ow = g.shape
+    dx = np.zeros((n, c, h, w), dtype=g.dtype)
+    for i, (y0, y1) in enumerate(pool_bins(h, oh)):
+        for j, (x0, x1) in enumerate(pool_bins(w, ow)):
+            dx[:, :, y0:y1, x0:x1] += g[:, :, i : i + 1, j : j + 1] / ((y1 - y0) * (x1 - x0))
+    return dx
+
+
+def anti_pool_grad_oracle(g, oh, ow):
+    """Input gradient of anti_pool_oracle, in g's dtype: each position adds
+    its gradient to the bin that owns it, positions in row-major order."""
+    n, c, h, w = g.shape
+    owner_y, owner_x = [0] * h, [0] * w
+    for i, (y0, y1) in enumerate(pool_bins(h, oh)):
+        owner_y[y0:y1] = [i] * (y1 - y0)
+    for j, (x0, x1) in enumerate(pool_bins(w, ow)):
+        owner_x[x0:x1] = [j] * (x1 - x0)
+    dx = np.zeros((n, c, oh, ow), dtype=g.dtype)
+    for y in range(h):
+        for x in range(w):
+            dx[:, :, owner_y[y], owner_x[x]] += g[:, :, y, x]
+    return dx
+
+
 def gelu_oracle(x):
     from scipy.special import erf
 

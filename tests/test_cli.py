@@ -70,6 +70,13 @@ def test_inspect_non_finite_setting_exits_1(capsys, setting):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_inspect_huge_b_exits_1(capsys):
+    code, out, err = run_cli(capsys, "inspect", "--C", "64", "--b", "1e300")
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "wider than 2C - 1" in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
