@@ -22,8 +22,9 @@ from .tensor import Conv2dSpec, Tensor
 @dataclass(frozen=True)
 class LkaConfig:
     """Channels plus the (K, d) pair driving the kernel decomposition.
-    Parameter counts are weights only; the depthwise-full variant is a K x K
-    depthwise conv plus the same 1x1 mixing, so all three mix channels."""
+    The params_* counts are weights only, without biases (lka_params_flops
+    counts both); the depthwise-full variant is a K x K depthwise conv plus
+    the same 1x1 mixing, so all three mix channels."""
 
     channels: int
     kernel: int = 7
@@ -89,29 +90,14 @@ class HcaConfig:
             raise ValueError(f"local grid {self.local_grid} exceeds spatial extent {h}x{w}")
 
 
-def eca_kernel_size(channels, gamma=ECA_GAMMA, b=ECA_B):
-    """Adaptive odd 1-d kernel size from the channel count.
-
-    t = log2(C)/gamma + b/gamma, truncated toward zero; even values are
-    bumped up by one and the result is clamped to >= 1.  gamma must be
-    finite and > 0, and t finite, which needs a finite b.  A kernel wider
-    than 2C - 1 is rejected: its outer taps could only ever read padding.
-    """
+def eca_kernel_size(channels):
+    """ECA-Net's adaptive odd 1-d kernel size for a channel count:
+    log2(C)/ECA_GAMMA + ECA_B/ECA_GAMMA truncated toward zero, bumped up by
+    one when even.  At gamma = b = 2 it is never wider than 2C - 1."""
     if channels < 1:
         raise ValueError("channels must be >= 1")
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    t = math.log2(channels) / gamma + b / gamma
-    if not math.isfinite(t):
-        raise ValueError(f"log2(C)/gamma + b/gamma is not finite for b={b}, gamma={gamma}")
-    k = int(t)
-    if k % 2 == 0:
-        k += 1
-    if k < 1:
-        k = 1
-    if k > 2 * channels - 1:
-        raise ValueError(f"conv1d kernel {k} is wider than 2C - 1 = {2 * channels - 1} for C={channels}")
-    return k
+    k = int(math.log2(channels) / ECA_GAMMA + ECA_B / ECA_GAMMA)
+    return k + 1 if k % 2 == 0 else k
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def param_count(shapes):
 
 
 def lka_params_flops(cfg, input_shape):
-    """Exact weight count and 2*MAC FLOPs of one LKA block at input_shape."""
+    """Exact parameter count (weights and biases) and 2*MAC FLOPs of one LKA block at input_shape."""
     n, c, h, w = input_shape
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")
@@ -251,7 +237,7 @@ def lka_params_flops(cfg, input_shape):
 
 
 def hca_params_flops(cfg, input_shape):
-    """Weight count and FLOPs of one HCA block at input_shape."""
+    """Parameter count (weights and biases) and FLOPs of one HCA block at input_shape."""
     n, c, h, w = input_shape
     if c != cfg.channels:
         raise ValueError("input_shape channels do not match config")

@@ -1,6 +1,6 @@
 """Command-line entry point: inspect, gradcheck, train, eval.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation or usage failure, 2 numerical failure.
 gradcheck and train take --seed, and every subcommand is bit-reproducible
 single-threaded.  train writes its resolved configuration, step log and
 checkpoint into --out, and on a numerical failure still checkpoints the
@@ -10,13 +10,14 @@ there too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .attention import ECA_B, ECA_GAMMA, LkaConfig, count_params_flops, eca_kernel_size
+from .attention import LkaConfig, count_params_flops, eca_kernel_size
 from .evaluation import evaluate, evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
 from .tensor import NumericsError
@@ -26,7 +27,7 @@ from .verify import TOLERANCE, run_gradcheck
 
 def cmd_inspect(args):
     dec = LkaConfig(args.C, args.K, args.d)
-    k1d = eca_kernel_size(args.C, args.gamma, args.b)
+    k1d = eca_kernel_size(args.C)
     _, flops = count_params_flops(dec, (1, args.C, args.H, args.W))
     payload = {
         "kernel": args.K,
@@ -71,64 +72,54 @@ def cmd_gradcheck(args):
     return 0
 
 
-# `lkareid train`'s flat config keys, each with the (config class, field)
-# pairs it sets.  A key's default and type are those of the first of its
-# fields that has a default; stem_widths is written as "16,32,64".
-_TRAIN_KEYS = {
-    "seed": ((TrainConfig, "seed"), (SyntheticDatasetSpec, "seed")),
-    "steps": ((TrainConfig, "steps"),),
-    "lr": ((TrainConfig, "lr"),),
-    "momentum": ((TrainConfig, "momentum"),),
-    "optimizer": ((TrainConfig, "optimizer"),),
-    "grad_clip_norm": ((TrainConfig, "grad_clip_norm"),),
-    "margin": ((TrainConfig, "margin"),),
-    "label_smoothing": ((TrainConfig, "label_smoothing"),),
-    "p": ((TrainConfig, "identities_per_batch"),),
-    "k": ((TrainConfig, "instances_per_identity"),),
-    "num_identities": ((ModelConfig, "num_identities"), (SyntheticDatasetSpec, "num_identities")),
-    "images_per_identity": ((SyntheticDatasetSpec, "images_per_identity"),),
-    "num_cameras": ((ModelConfig, "num_cameras"), (SyntheticDatasetSpec, "num_cameras")),
-    "image_size": ((SyntheticDatasetSpec, "image_size"),),
-    "stem_widths": ((ModelConfig, "stem_widths"),),
-    "feature_dim": ((ModelConfig, "feature_dim"),),
-    "blocks_per_branch": ((ModelConfig, "blocks_per_branch"),),
-    "lka_kernel": ((ModelConfig, "lka_kernel"),),
-    "lka_dilation": ((ModelConfig, "lka_dilation"),),
-    "hca_local_grid": ((ModelConfig, "hca_local_grid"),),
-    "attention_enabled": ((ModelConfig, "attention_enabled"),),
-    "metadata_embeddings_enabled": ((ModelConfig, "metadata_embeddings_enabled"),),
-}
+def _derive_train_keys():
+    """`lkareid train`'s flat config keys, each with the (config class, field)
+    pairs it sets, and their defaults.  A key is its fields' name (p and k
+    excepted); its default is that of the first of its fields that has one."""
+    aliases = {"identities_per_batch": "p", "instances_per_identity": "k"}
+    keys, defaults = {}, {}
+    for cls in (TrainConfig, ModelConfig, SyntheticDatasetSpec):
+        for f in dataclasses.fields(cls):
+            key = aliases.get(f.name, f.name)
+            keys[key] = keys.get(key, ()) + ((cls, f.name),)
+            if f.default is not dataclasses.MISSING:
+                defaults.setdefault(key, f.default)
+    return keys, defaults
 
 
-def _field_default(key):
-    # a dataclass field with a default keeps it as a class attribute
-    return next(getattr(cls, name) for cls, name in _TRAIN_KEYS[key] if hasattr(cls, name))
+_TRAIN_KEYS, _DEFAULTS = _derive_train_keys()
 
 
-def _default(key):
-    value = _field_default(key)
+def _text(value):
+    """A key's value as config.json holds it; stem_widths is "16,32,64"."""
     return ",".join(map(str, value)) if isinstance(value, tuple) else value
 
 
-def _coerce(key, value):
-    default = _default(key)
+def _parse(key, value):
+    """The field value of a key's text or config.json value."""
+    default = _DEFAULTS[key]
     if isinstance(default, bool):
         if str(value).lower() in ("1", "true", "yes"):
             return True
         if str(value).lower() in ("0", "false", "no"):
             return False
-        raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
+        raise ValueError("expected a boolean")
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in str(value).split(","))
     return type(default)(value)
 
 
 def resolve_train_config(config_path=None, overrides=()):
     """Flat key=value config layer plus CLI overrides; unknown keys rejected."""
-    resolved = {key: _default(key) for key in _TRAIN_KEYS}
+    resolved = {key: _text(default) for key, default in _DEFAULTS.items()}
 
     def apply(key, value, where):
         if key not in _TRAIN_KEYS:
             raise ValueError(f"{where}: unknown config key {key!r}")
-        resolved[key] = _coerce(key, value)
+        try:
+            resolved[key] = _text(_parse(key, value))
+        except ValueError as exc:
+            raise ValueError(f"{where}: config key {key}={value!r}: {exc}") from None
 
     if config_path:
         for lineno, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
@@ -148,15 +139,12 @@ def resolve_train_config(config_path=None, overrides=()):
 
 
 def _configs_from_resolved(resolved):
-    """(ModelConfig, TrainConfig, SyntheticDatasetSpec) with every field a
-    key names set from `resolved`; other fields keep their defaults."""
+    """(ModelConfig, TrainConfig, SyntheticDatasetSpec) with every field set
+    from its key's value in `resolved`."""
     kwargs = {ModelConfig: {}, TrainConfig: {}, SyntheticDatasetSpec: {}}
     for key, fields in _TRAIN_KEYS.items():
-        value = resolved[key]
-        if isinstance(_field_default(key), tuple):
-            value = tuple(int(v) for v in str(value).split(","))
         for cls, name in fields:
-            kwargs[cls][name] = value
+            kwargs[cls][name] = _parse(key, resolved[key])
     return tuple(cls(**kw) for cls, kw in kwargs.items())
 
 
@@ -247,8 +235,6 @@ def build_parser():
     p.add_argument("--C", type=int, default=256, help="channel count")
     p.add_argument("--H", type=int, default=32)
     p.add_argument("--W", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=ECA_GAMMA)
-    p.add_argument("--b", type=float, default=ECA_B)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
@@ -276,7 +262,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, the numerical-failure code, on a usage error
+        return 1 if exc.code else 0
     try:
         # Every op checks its output for NaN/Inf and raises NumericsError,
         # which is reported below; numpy's own warnings would only repeat it.

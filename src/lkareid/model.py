@@ -235,6 +235,8 @@ def _branch_embeddings(state, images):
     x = images if isinstance(images, Tensor) else Tensor(images)
     if x.data.ndim != 4 or x.shape[1] != 3:
         raise ValueError("images must be (B, 3, H, W)")
+    if not np.isfinite(x.data).all():
+        raise ValueError("images have non-finite pixel values")
     # center [0, 1] pixel intensities to [-1, 1]
     x = T.add(T.mul(x, 2.0), -1.0)
     plan = layer_plan(state.config)

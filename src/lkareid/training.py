@@ -45,8 +45,11 @@ class TrainConfig:
         for name in ("lr", "momentum", "margin", "grad_clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.grad_clip_norm < 0:
-            raise ValueError("grad_clip_norm must be >= 0")
+        for name in ("lr", "margin", "grad_clip_norm"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
 

@@ -81,7 +81,7 @@ def test_criterion_3_linear_complexity():
 
 
 def test_criterion_4_kernel_size_rule():
-    sizes = {c: eca_kernel_size(c, 2.0, 2.0) for c in range(2, 4097, 2)}
+    sizes = {c: eca_kernel_size(c) for c in range(2, 4097, 2)}
     vals = [sizes[c] for c in sorted(sizes)]
     ok = all(k % 2 == 1 for k in vals)
     ok &= all(b >= a for a, b in zip(vals, vals[1:]))

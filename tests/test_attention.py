@@ -95,23 +95,7 @@ def test_eca_kernel_size_table():
     assert eca_kernel_size(2) == 1
 
 
-@pytest.mark.parametrize("gamma,b", [
-    (np.nan, 2.0), (np.inf, 2.0), (0.0, 2.0), (2.0, np.nan), (2.0, np.inf), (2.0, -np.inf), (1e-10, 1e300),
-])
-def test_eca_kernel_size_rejects_non_finite_settings(gamma, b):
-    with pytest.raises(ValueError):
-        eca_kernel_size(64, gamma, b)
-
-
-@pytest.mark.parametrize("channels,gamma,b", [(64, 2.0, 1e300), (64, 1e-10, 2.0), (4, 1.0, 6.0), (1, 2.0, 4.0)])
-def test_eca_kernel_size_rejects_kernel_wider_than_2c_minus_1(channels, gamma, b):
-    with pytest.raises(ValueError, match="wider than 2C - 1"):
-        eca_kernel_size(channels, gamma, b)
-
-
 def test_eca_kernel_size_allows_kernel_of_2c_minus_1():
-    # t = 2 + 5 = 7 for C = 4: the widest kernel whose every tap can reach the sequence
-    assert eca_kernel_size(4, 1.0, 5.0) == 7
     assert all(eca_kernel_size(c) <= 2 * c - 1 for c in range(1, 4097))
 
 

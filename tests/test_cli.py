@@ -63,18 +63,27 @@ def test_inspect_invalid_kernel(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("setting", ["--b=inf", "--b=nan", "--gamma=inf"])
-def test_inspect_non_finite_setting_exits_1(capsys, setting):
-    code, out, err = run_cli(capsys, "inspect", setting)
+@pytest.mark.parametrize("argv", [
+    [],
+    ["inspect", "--K", "abc"],
+    ["inspect", "--gamma", "2"],
+    ["gradcheck", "--scope", "everything"],
+    ["train"],
+    ["eval", "--query", "q.jsonl"],
+])
+def test_usage_error_exits_1(capsys, argv):
+    """argparse's own exit code 2 is the documented code of a numerical
+    failure, so a usage error is reported as the validation failure it is."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert out == "" and "error: " in err
 
 
-def test_inspect_huge_b_exits_1(capsys):
-    code, out, err = run_cli(capsys, "inspect", "--C", "64", "--b", "1e300")
-    assert code == 1
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert "wider than 2C - 1" in err
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: lkareid")
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +231,7 @@ def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
 @pytest.mark.parametrize("setting", [
     "num_cameras=0", "images_per_identity=0", "image_size=0", "hca_local_grid=0", "lka_kernel=4",
     "lr=nan", "momentum=inf", "margin=-inf", "grad_clip_norm=nan",
+    "lr=-0.1", "momentum=1", "momentum=-0.5", "margin=-0.3",
     # P=1 leaves the triplet loss one identity; P=5 and num_identities=1 ask
     # for more identities per batch than the 4 (or 1) of the training split;
     # the HCA grid of 9 exceeds the 8x8 branch map, and a grid of 2 the 1x1
@@ -291,6 +301,24 @@ def test_every_config_field_is_a_train_key():
         for f in dataclasses.fields(cls)
     }
     assert every_field - set_by_keys == set()
+
+
+@pytest.mark.parametrize("where", ["--set", "file"])
+@pytest.mark.parametrize("setting", ["steps=1.5", "stem_widths=16,,32", "lr=fast", "attention_enabled=maybe"])
+def test_train_unparsable_setting_names_key_and_source(capsys, tmp_path, where, setting):
+    out_dir = tmp_path / "run"
+    if where == "file":
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"# comment\n{setting}\n")
+        argv, source = ["--config", str(cfg_file)], f"{cfg_file}:2: "
+    else:
+        argv, source = ["--set", setting], "--set: "
+    code, out, err = run_cli(capsys, "train", "--out", str(out_dir), *argv)
+    key, value = setting.split("=", 1)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {source}config key {key}={value!r}: ")
+    assert not out_dir.exists()
 
 
 def test_train_rejects_unknown_key(capsys, tmp_path):
@@ -489,6 +517,22 @@ def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "stem.0.weight" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_with_nan_pixel_exits_1(capsys, tmp_path):
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    pixels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16, 16)).astype(np.float32)
+    pixels[1, 2, 3] = np.nan
+    image = tmp_path / "a.npy"
+    np.save(image, pixels)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1
+    assert out == "" and err == "error: images have non-finite pixel values\n"
 
 
 def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):

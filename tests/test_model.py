@@ -115,6 +115,19 @@ def test_forward_requires_batch_of_two():
         forward_train(state, Tensor(np.zeros((1, 3, 8, 8))), [0], [0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forwards_reject_non_finite_pixels(bad):
+    """A non-finite pixel is a defect of the input, not a numerical failure
+    of the model."""
+    state = build_model(tiny_cfg(), 0)
+    images = rand_images(np.random.default_rng(8))
+    images[1, 2, 3, 4] = bad
+    with pytest.raises(ValueError, match="non-finite pixel"):
+        forward_train(state, Tensor(images), np.zeros(2, int), np.zeros(2, int))
+    with pytest.raises(ValueError, match="non-finite pixel"):
+        extract_features(state, images)
+
+
 def test_metadata_zero_init_equivalence():
     rng = np.random.default_rng(1)
     images = rand_images(rng, batch=3)

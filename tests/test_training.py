@@ -379,6 +379,13 @@ def test_train_config_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TrainConfig(**{name: value})
+    for name in ("lr", "margin", "grad_clip_norm"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            TrainConfig(**{name: -0.1})
+    for momentum in (-0.5, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            TrainConfig(momentum=momentum)
+    assert TrainConfig(lr=0.0, momentum=0.0, margin=0.0).lr == 0.0
     for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SyntheticDatasetSpec(**{name: 0})
