@@ -5,7 +5,9 @@ gradcheck and train take --seed, and every subcommand is bit-reproducible
 single-threaded.  train writes its resolved configuration, step log and
 checkpoint into --out, and on a numerical failure still checkpoints the
 last finished step; eval prints its report and, given --out, writes it
-there too.
+there too.  The configuration, checkpoint and report are written beside
+their path and renamed over it, so a failed write leaves an earlier file
+whole.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .attention import LkaConfig, count_params_flops, eca_kernel_size
 from .evaluation import evaluate, evaluate_features, load_manifest
-from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
+from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint, write_atomic
 from .tensor import NumericsError
 from .training import SyntheticDatasetSpec, TrainConfig, fit, pk_identities, split_query_gallery, synth_generate
 from .verify import TOLERANCE, run_gradcheck
@@ -161,7 +163,8 @@ def cmd_train(args):
     pk_identities(data.identity_index(train_idx), train_cfg.identities_per_batch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    config_text = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "config.json", config_text.encode("utf-8"))
     state = build_model(model_cfg, train_cfg.seed)
     records = []
     with open(out_dir / "log.jsonl", "w", encoding="utf-8") as log:
@@ -220,7 +223,7 @@ def cmd_eval(args):
         report = evaluate(query, gallery, max_rank=args.max_rank)
     text = report.to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_atomic(args.out, (text + "\n").encode("utf-8"))
     print(text)
     return 0
 

@@ -378,14 +378,18 @@ def save_checkpoint(state, path):
         for dim in tensor.data.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    # Write beside the target and rename over it, so a failed or interrupted
-    # save leaves any previous checkpoint whole.
+    write_atomic(path, blob)
+
+
+def write_atomic(path, data):
+    """Write bytes beside `path` and rename them over it, so a failed or
+    interrupted write leaves any previous file at `path` whole."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(blob)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

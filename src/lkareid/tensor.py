@@ -8,10 +8,25 @@ add/multiply, matmul, reductions, and L2 normalization.
 Every forward op validates that finite inputs produce finite outputs.
 Verification paths run in float64; training runs in float32.
 
-`conv2d` moves data in kernel-tap slices of a channels-last padded input
-and has one path per conv kind: a dense convolution stacks the slices into
-columns and runs one GEMM over the whole batch; a depthwise one
-multiply-adds the slices directly.  Other group counts are rejected.  The
+Activations keep NCHW shapes but are channels-last in memory: `conv2d`
+returns an NCHW view (`.transpose(2, 3, 0, 1)`) of a C-contiguous
+(H, W, N, C) array, and its padding, tap columns, pooling and anti-pooling
+read and write that layout without transposing copies.  Elementwise ops
+keep it through numpy's K order.  An op takes input in any layout and
+gives the same bits.  The reductions whose float32 summation order follows
+memory order, the conv bias gradient and the one-bin mean, run on a
+C-ordered copy so that they add in NCHW order; that keeps training bitwise
+reproducible across the layout change until the acceptance gate stops
+depending on float32 bits.
+
+`conv2d` has one path per conv kind: a dense convolution copies the
+kernel-tap slices of its channels-last padded input into columns with one
+strided copy (none for a 1x1 conv) and runs one GEMM over the whole batch;
+a depthwise one multiply-adds each tap's slice of the unpadded input into
+the outputs where that tap reads the input.  Both scatter input gradients
+the same way.  Taps over padding are skipped because their zero products
+would change no bit; only the depthwise weight gradient sums over padded
+taps, to keep its float32 order.  Other group counts are rejected.  The
 slow reference is `tests/oracles.conv2d_oracle`.
 
 Pooling adds each bin's window tap by tap in row-major order, the per-bin
@@ -32,6 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf, expit
 
 
@@ -370,41 +386,59 @@ def l2_normalize(x, axis):
 # convolution
 
 
-def _tap_slices(spec, oh, ow):
-    """(row slice, column slice) of the padded input that each kernel tap
-    reads, in (ky, kx) order: kh*kw strided windows of oh x ow positions."""
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    return [
-        (
-            slice(ky * dh, ky * dh + sh * (oh - 1) + 1, sh),
-            slice(kx * dw, kx * dw + sw * (ow - 1) + 1, sw),
-        )
-        for ky in range(kh)
-        for kx in range(kw)
-    ]
+def _tap_view(a, spec, oh, ow):
+    """(kh, kw, oh, ow, ...) view of padded channels-last `a`: [ky, kx] is
+    the grid of positions that kernel tap (ky, kx) reads."""
+    (sh, sw), (dh, dw) = spec.stride, spec.dilation
+    s0, s1 = a.strides[:2]
+    strides = (s0 * dh, s1 * dw, s0 * sh, s1 * sw) + a.strides[2:]
+    return as_strided(a, spec.kernel + (oh, ow) + a.shape[2:], strides)
 
 
 def _pad_channels_last(x, spec):
-    """Zero-padded (H + pt + pb, W + pl + pr, N, C) copy of NCHW `x`.  A tap
-    slice of it is a grid of contiguous N*C blocks."""
+    """Zero-padded (H + pt + pb, W + pl + pr, N, C) channels-last view of
+    NCHW-shaped `x`: `x` itself without padding, else a C-contiguous copy."""
     n, c, h, w = x.shape
     (pt, pb), (pl, pr) = spec.padding
+    if pt == pb == pl == pr == 0:
+        return x.transpose(2, 3, 0, 1)
     xp = np.zeros((h + pt + pb, w + pl + pr, n, c), dtype=x.dtype)
     xp[pt : pt + h, pl : pl + w] = x.transpose(2, 3, 0, 1)
     return xp
 
 
+def _tap_columns(xp, spec, oh, ow):
+    """A dense conv's GEMM input, rows [oh][ow][n] by columns [ky][kx][c]: one
+    strided copy, or none for a 1x1 conv on a channels-last input."""
+    cols = _tap_view(xp, spec, oh, ow).transpose(2, 3, 4, 0, 1, 5)
+    return np.ascontiguousarray(cols).reshape(oh * ow * xp.shape[2], -1)
+
+
+def _tap_windows(spec, h, w, oh, ow):
+    """(output window, input window) of each kernel tap, in (ky, kx) order:
+    the output positions where the tap reads the unpadded h x w input, and
+    the input it reads there.  Where a tap reads padding it would add a +-0
+    product, which changes no bit of a sum that starts from +0."""
+    rows, cols = [], []
+    extents = zip(spec.kernel, spec.dilation, spec.stride, spec.padding, (h, w), (oh, ow))
+    for windows, (k, d, s, (pad, _), n, on) in zip((rows, cols), extents):
+        for off in range(-pad, k * d - pad, d):  # input index that output 0 reads
+            i0 = max(0, -(off // s))
+            i1 = max(i0, min(on, (n - 1 - off) // s + 1))
+            windows.append((slice(i0, i1), slice(i0 * s + off, i1 * s + off, s)))
+    return [((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols]
+
+
 def conv2d(x, weight, bias, spec):
     """2-d convolution over NCHW input, differentiable in x, weight, bias.
 
+    The output is an NCHW view of a channels-last (oh, ow, N, O) array.
     Two paths, chosen by `spec.groups`.  A dense conv (groups == 1) is one
     GEMM over the whole batch: channels-last columns (oh*ow*N, kh*kw*C)
     times the weight reordered to (O, kh*kw*C); its backward is one GEMM
     for the weight gradient and one for the column gradient.  A depthwise
     conv (one channel per group) multiply-adds the kh*kw shifted input
-    slices directly.
+    slices directly, each over the outputs where it reads the input.
     """
     if x.data.ndim != 4:
         raise ValueError("conv2d expects NCHW input")
@@ -420,52 +454,48 @@ def conv2d(x, weight, bias, spec):
 
     oh, ow = spec.out_size(h, w)
     dense = spec.groups == 1
-    taps = _tap_slices(spec, oh, ow)
-    xp = _pad_channels_last(x.data, spec)
-    pad_shape = xp.shape
+    windows = _tap_windows(spec, h, w, oh, ow)
     if dense:
-        cols = np.stack([xp[tap] for tap in taps], axis=3).reshape(oh * ow * n, len(taps) * c)
-        wt = weight.data.transpose(0, 2, 3, 1).reshape(spec.out_channels, len(taps) * c)
+        cols = _tap_columns(_pad_channels_last(x.data, spec), spec, oh, ow)
+        wt = weight.data.transpose(0, 2, 3, 1).reshape(spec.out_channels, len(windows) * c)
         out_cl = (cols @ wt.T).reshape(oh, ow, n, spec.out_channels)
-        xp = None  # the backward needs the columns, not the padded input
     else:
-        wt = weight.data.reshape(c, len(taps))  # one row of taps per channel
-        out_cl = np.zeros((oh, ow, n, c), dtype=np.result_type(xp, wt))
-        for t, tap in enumerate(taps):
-            out_cl += xp[tap] * wt[:, t]
-    out_data = out_cl.transpose(2, 3, 0, 1)
-    if bias is None:
-        out_data = np.ascontiguousarray(out_data)
-    else:
-        out_data = np.add(out_data, bias.data[:, None, None], order="C")
+        # tap weights tiled over N: each multiply-add runs over N*C blocks
+        wt = np.tile(weight.data.reshape(c, len(windows)).T, (1, n)).reshape(-1, n, c)
+        x_cl = x.data.transpose(2, 3, 0, 1)
+        out_cl = np.zeros((oh, ow, n, c), dtype=np.result_type(x.data, wt))
+        for t, (o, i) in enumerate(windows):
+            out_cl[o] += x_cl[i] * wt[t]
+    if bias is not None:
+        out_cl += bias.data
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def _bw(g):
-        g_cl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))  # (oh, ow, N, O)
+        g_cl = g.transpose(2, 3, 0, 1)  # (oh, ow, N, O), contiguous as g is channels-last
         g2 = g_cl.reshape(oh * ow * n, spec.out_channels)  # the dense GEMM's output rows
         if weight.requires_grad:
             if dense:
                 dw = (g2.T @ cols).reshape(spec.out_channels, *spec.kernel, c).transpose(0, 3, 1, 2)
             else:
-                dw = np.stack([np.einsum("ijnc,ijnc->c", xp[tap], g_cl) for tap in taps], axis=1)
+                # C-ordered padded taps keep einsum's float32 summation order
+                xv = _tap_view(np.ascontiguousarray(_pad_channels_last(x.data, spec)), spec, oh, ow)
+                taps = np.ndindex(*spec.kernel)
+                dw = np.stack([np.einsum("ijnc,ijnc->c", xv[tap], g_cl) for tap in taps], axis=1)
             _accum(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             if dense:
-                dcols = (g2 @ wt).reshape(oh, ow, n, len(taps), c)
-                dtaps = (dcols[:, :, :, t] for t in range(len(taps)))
-            else:
-                dtaps = (g_cl * wt[:, t] for t in range(len(taps)))
-            # Scatter each tap's column gradient back into the padded input.
-            dxp = np.zeros(pad_shape, dtype=np.result_type(wt, g))
-            for tap, d in zip(taps, dtaps):
-                dxp[tap] += d
-            (pt, _pb), (pl, _pr) = spec.padding
-            _accum(x, dxp[pt : pt + h, pl : pl + w].transpose(2, 3, 0, 1))
+                dcols = (g2 @ wt).reshape(oh, ow, n, len(windows), c)
+            # scatter each tap's column gradient back into the input it read
+            dx = np.zeros((h, w, n, c), dtype=np.result_type(wt, g))
+            for t, (o, i) in enumerate(windows):
+                dx[i] += dcols[o][..., t, :] if dense else g_cl[o] * wt[t]
+            _accum(x, dx.transpose(2, 3, 0, 1))
         if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+            # numpy adds in memory order: a C-ordered copy keeps NCHW float32 sums
+            _accum(bias, np.ascontiguousarray(g).sum(axis=(0, 2, 3)))
 
-    return _node(out_data, parents, "conv2d", _bw)
+    return _node(out_cl.transpose(2, 3, 0, 1), parents, "conv2d", _bw)
 
 
 def conv1d(x, weight, bias):
@@ -554,7 +584,7 @@ def _rank_sum(src, out_hw, rows, cols):
     """Channels-last (oh, ow, N, C) sums from zero of out[a, b] += src[:, :,
     p, q], rank by rank in (row rank, column rank) order, so each output
     element adds its terms in rank order."""
-    s = np.ascontiguousarray(src.transpose(2, 3, 0, 1))
+    s = src.transpose(2, 3, 0, 1)
     out = np.zeros(tuple(out_hw) + s.shape[2:], dtype=s.dtype)
     for ra, rp in rows:
         for ca, cp in cols:
@@ -581,10 +611,10 @@ def adaptive_avg_pool(x, out_hw):
     col_sizes, _, col_taps, col_covers, _ = _axis_ranks(w, ow)
     area = np.outer(row_sizes, col_sizes).astype(x.dtype)
     if oh == ow == 1:
-        out_data = x.data.mean(axis=(2, 3), keepdims=True)
+        # numpy adds in memory order: a C-ordered copy keeps NCHW float32 sums
+        out_data = np.ascontiguousarray(x.data).mean(axis=(2, 3), keepdims=True)
     else:
-        sums = _rank_sum(x.data, (oh, ow), row_taps, col_taps)
-        out_data = np.ascontiguousarray(sums.transpose(2, 3, 0, 1)) / area
+        out_data = _rank_sum(x.data, (oh, ow), row_taps, col_taps).transpose(2, 3, 0, 1) / area
 
     def _bw(g):
         _accum(x, _rank_sum(g / area, (h, w), row_covers, col_covers).transpose(2, 3, 0, 1))
@@ -606,7 +636,8 @@ def anti_pool(x, target_hw):
     def _bw(g):
         _accum(x, _rank_sum(g, (oh, ow), row_owned, col_owned).transpose(2, 3, 0, 1))
 
-    return _node(x.data[:, :, owner_h[:, None], owner_w[None, :]], [x], "anti_pool", _bw)
+    out_cl = x.data.transpose(2, 3, 0, 1)[owner_h[:, None], owner_w[None, :]]
+    return _node(out_cl.transpose(2, 3, 0, 1), [x], "anti_pool", _bw)
 
 
 # ---------------------------------------------------------------------------

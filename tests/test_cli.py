@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, determinism,
 and output artifacts."""
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -382,6 +383,38 @@ def test_eval_max_rank_below_1_exits_1(capsys, tmp_path, max_rank):
     assert code == 1
     assert "max_rank must be >= 1" in err
     assert not report_path.exists()
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+def test_failed_report_write_keeps_previous_report(capsys, tmp_path, monkeypatch):
+    q_path, g_path = _write_feature_manifests(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    report_path = out_dir / "report.json"
+    report_path.write_text("previous report\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    code, _, err = run_cli(
+        capsys, "eval", "--query", str(q_path), "--gallery", str(g_path), "--out", str(report_path)
+    )
+    assert code == 1
+    assert "Invalid cross-device link" in err
+    assert report_path.read_text() == "previous report\n"
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+
+
+def test_failed_config_write_keeps_previous_config(capsys, tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "config.json").write_text("previous config\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    code, _, err = run_cli(capsys, *_fast_train_args(out_dir))
+    assert code == 1
+    assert "Invalid cross-device link" in err
+    assert (out_dir / "config.json").read_text() == "previous config\n"
+    assert [p.name for p in out_dir.iterdir()] == ["config.json"]
 
 
 def test_eval_deterministic_output(capsys, tmp_path):

@@ -80,6 +80,34 @@ def test_conv2d_matches_oracle_configs(case):
     np.testing.assert_allclose(got, want, atol=1e-11)
 
 
+# (stride, padding, dilation, input extent) of 3 x 3 convs with taps that
+# read padding at every output
+_PADDING_ONLY_TAPS = {
+    # only tap (2, 2) reads the 2 x 2 input, and only at output (1, 1)
+    "stride-4": (4, 6, 1, 2),
+    # tap row and column 0 lie above and left of the input at all 5 x 5 outputs
+    "dilated-asym": (1, ((6, 2), (6, 2)), 3, 3),
+}
+
+
+@pytest.mark.parametrize("groups", [1, 4], ids=["dense", "depthwise"])
+@pytest.mark.parametrize("geometry", _PADDING_ONLY_TAPS.values(), ids=_PADDING_ONLY_TAPS.keys())
+def test_conv2d_taps_that_read_only_padding(geometry, groups):
+    stride, padding, dilation, extent = geometry
+    rng = np.random.default_rng(21)
+    spec = Conv2dSpec(4, 4, (3, 3), stride=stride, padding=padding, dilation=dilation, groups=groups)
+    x, w, b = rng.normal(size=(2, 4, extent, extent)), rng.normal(size=spec.weight_shape()), rng.normal(size=4)
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
+    want = conv2d_oracle(x, w, b, stride=stride, padding=padding, dilation=dilation, groups=groups)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    g = Tensor(rng.normal(size=got.shape))
+
+    def f(*ts):
+        return T.tsum(T.mul(T.conv2d(*ts, spec), g))
+
+    assert gradient_check(f, [Tensor(x), Tensor(w), Tensor(b)]) <= 1e-4
+
+
 def test_conv2d_linearity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 2, 5, 5))
@@ -113,6 +141,63 @@ def test_conv2d_shape_errors():
         Conv2dSpec(4, 6, (3, 3), groups=2)  # grouped, neither dense nor depthwise
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(np.zeros((4, 3, 7, 7))), None, Conv2dSpec(3, 4, (7, 7)))
+
+
+# ---------------------------------------------------------------------------
+# memory layout: NCHW shapes over channels-last memory
+
+
+def _channels_last(x):
+    """An NCHW view of a C-contiguous (H, W, N, C) copy of x."""
+    return np.ascontiguousarray(x.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+
+
+def _is_channels_last(a):
+    return a.transpose(2, 3, 0, 1).flags.c_contiguous
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# the model's conv kinds at a reduced width
+_LAYOUT_CONVS = {
+    "stem-3x3-s2": Conv2dSpec(3, 8, (3, 3), stride=2, padding=1),
+    "trunk-3x3": Conv2dSpec(8, 8, (3, 3), padding=1),
+    "pw-1x1": Conv2dSpec(8, 8, (1, 1)),
+    "lka-dw": Conv2dSpec(8, 8, (3, 3), padding=1, groups=8),
+    "lka-dd-asym": Conv2dSpec(8, 8, (4, 4), padding=((4, 5), (4, 5)), dilation=3, groups=8),
+    "dw-1x1-unpadded": Conv2dSpec(8, 8, (1, 1), groups=8),
+}
+
+
+@pytest.mark.parametrize("spec", _LAYOUT_CONVS.values(), ids=_LAYOUT_CONVS.keys())
+def test_conv2d_bits_do_not_depend_on_input_layout(spec):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(4, spec.in_channels, 12, 12)).astype(np.float32)
+    w = rng.normal(size=spec.weight_shape()).astype(np.float32)
+    b = rng.normal(size=spec.out_channels).astype(np.float32)
+    g = rng.normal(size=(4, spec.out_channels) + spec.out_size(12, 12)).astype(np.float32)
+
+    def run(arr):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (arr, w, b))
+        out = T.conv2d(xt, wt, bt, spec)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        assert _is_channels_last(out.data)
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    nchw, channels_last = run(x), run(_channels_last(x))
+    for got, want in zip(channels_last, nchw):
+        _assert_same_bits(got, want)
+    # the bias gradient adds the output gradient in NCHW memory order
+    _assert_same_bits(channels_last[3], g.sum(axis=(0, 2, 3)))
+
+
+def test_conv2d_1x1_columns_are_a_view_of_a_channels_last_input():
+    spec = _LAYOUT_CONVS["pw-1x1"]
+    x = _channels_last(np.random.default_rng(18).normal(size=(2, 8, 5, 5)).astype(np.float32))
+    assert np.shares_memory(T._tap_columns(T._pad_channels_last(x, spec), spec, 5, 5), x)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +335,38 @@ def test_float32_pool_gradients_are_per_bin_loops_at_model_shapes(shape, out_hw)
     assert x.grad.dtype == p.grad.dtype == np.float32
     np.testing.assert_array_equal(x.grad, adaptive_pool_grad_oracle(gp, h, w))
     np.testing.assert_array_equal(p.grad, anti_pool_grad_oracle(gu, *out_hw))
+
+
+@pytest.mark.parametrize("shape,out_hw", _MODEL_POOLS)
+def test_pool_bits_do_not_depend_on_input_layout(shape, out_hw):
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=shape).astype(np.float32)
+    g = rng.normal(size=shape[:2] + out_hw).astype(np.float32)
+
+    def run(arr):
+        xt = Tensor(arr, requires_grad=True)
+        out = T.adaptive_avg_pool(xt, out_hw)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        return out.data, xt.grad
+
+    for got, want in zip(run(_channels_last(x)), run(x)):
+        _assert_same_bits(got, want)
+
+
+def test_anti_pool_bits_do_not_depend_on_input_layout():
+    rng = np.random.default_rng(20)
+    p = rng.normal(size=(16, 64, 5, 5)).astype(np.float32)
+    g = rng.normal(size=(16, 64, 6, 6)).astype(np.float32)
+
+    def run(arr):
+        pt = Tensor(arr, requires_grad=True)
+        out = T.anti_pool(pt, (6, 6))
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        assert _is_channels_last(out.data)
+        return out.data, pt.grad
+
+    for got, want in zip(run(_channels_last(p)), run(p)):
+        _assert_same_bits(got, want)
 
 
 def test_pool_bounds_errors():
