@@ -1,6 +1,6 @@
 """Fingerprint a criterion-7 training run, to show two trees compute the same bits.
 
-    python3 scripts/bit_identity.py --steps 300 --attention on
+    python3 scripts/bit_identity.py --steps 300 --attention on --optimizer sgd
 
 Trains the acceptance suite's criterion-7 configuration (16 synthetic
 identities, 48x48 images, P = K = 4, SGD at lr 0.03, seed 0) with the
@@ -10,6 +10,9 @@ library in this checkout's ``src/``, then prints one sha256 per artifact:
     parameters  every parameter's name and float32 bytes, in model order
     checkpoint  the file ``save_checkpoint`` writes
     features    ``extract_features`` rows of the query, then the gallery
+
+``--optimizer adam`` trains with Adam at lr 0.001 instead: at lr 0.03 Adam
+overflows the triplet distances before step 300.
 
 BLAS runs on one thread, so the hashes do not depend on how a
 multithreaded GEMM splits its sums.  Run it in two checkouts on one
@@ -27,9 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+LR = {"sgd": 0.03, "adam": 0.001}
 
 
-def fingerprint(steps, attention_enabled):
+def fingerprint(steps, attention_enabled, optimizer="sgd"):
     """(artifact, sha256 hex) pairs of one criterion-7 run."""
     import numpy as np
 
@@ -40,7 +44,9 @@ def fingerprint(steps, attention_enabled):
     data = synth_generate(spec)
     train_idx, query_idx, gallery_idx = split_query_gallery(data, spec)
     state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
-    cfg = TrainConfig(identities_per_batch=4, instances_per_identity=4, steps=steps, lr=0.03, seed=0)
+    cfg = TrainConfig(
+        identities_per_batch=4, instances_per_identity=4, steps=steps, lr=LR[optimizer], seed=0, optimizer=optimizer
+    )
     records = fit(state, data, cfg, sample_positions=train_idx)
 
     params = hashlib.sha256()
@@ -67,6 +73,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=300, help="training steps (default 300)")
     parser.add_argument("--attention", choices=("on", "off"), default="on")
+    parser.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     args = parser.parse_args(argv)
     if args.steps < 0:
         parser.error("--steps must be >= 0")
@@ -75,8 +82,9 @@ def main(argv=None):
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    print(f"criterion-7 config, {args.steps} steps, attention {args.attention}, 1 BLAS thread")
-    for name, digest in fingerprint(args.steps, args.attention == "on"):
+    adam = ", adam" if args.optimizer == "adam" else ""
+    print(f"criterion-7 config, {args.steps} steps, attention {args.attention}{adam}, 1 BLAS thread")
+    for name, digest in fingerprint(args.steps, args.attention == "on", args.optimizer):
         print(f"{name:11s} {digest}")
     return 0
 

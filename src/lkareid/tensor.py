@@ -8,6 +8,13 @@ add/multiply, matmul, reductions, and L2 normalization.
 Every forward op validates that finite inputs produce finite outputs.
 Verification paths run in float64; training runs in float32.
 
+`backward` consumes the graph: right after a node's closure has run, the
+node drops its gradient and its closure, which frees the arrays the
+closure saved (a dense conv's tap columns, GELU's CDF).  Only leaves keep
+`.grad`.  Nodes keep their parents, so the activations go together when
+the caller drops the loss, and a later backward that reaches a consumed
+node raises ValueError before any gradient changes.
+
 Activations keep NCHW shapes but are channels-last in memory: `conv2d`
 returns an NCHW view (`.transpose(2, 3, 0, 1)`) of a C-contiguous
 (H, W, N, C) array, and its padding, tap columns, pooling and anti-pooling
@@ -215,8 +222,11 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+        # written once, not added to zeros: only a -0 entry differs (0 + -0 is +0)
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g.astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(g, shape):
@@ -231,7 +241,13 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Reverse-mode pass from a scalar; accumulates into .grad additively."""
+    """Reverse-mode pass from a scalar; adds into the leaves' .grad.
+
+    Consumes the graph: once a node's closure has run, the node drops its
+    gradient and its closure, and with it the arrays the closure saved.
+    A graph is walked by one backward only; reaching a consumed node raises
+    ValueError before any gradient changes.
+    """
     if loss.size != 1:
         raise ValueError("backward requires a scalar tensor")
     if not loss.requires_grad:
@@ -246,17 +262,18 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._prev and node._backward is None:
+            raise ValueError("backward reached a graph node that an earlier backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._prev:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += np.ones_like(loss.data)
+    _accum(loss, np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +367,19 @@ def gather_rows(table, indices):
 
 
 def gelu(x):
-    """Exact Gaussian-CDF GELU (not the tanh approximation)."""
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    """Exact Gaussian-CDF GELU (not the tanh approximation).
+
+    The CDF 0.5 * (1 + erf(x / sqrt 2)) is built in one buffer, with `erf`
+    run on |x| / sqrt 2 and its sign restored: scipy's `erf` evaluates
+    erf(-z) as -erf(z), so the bits are the same, and `erf` then takes no
+    data-dependent branch on the sign.
+    """
+    cdf = np.divide(x.data, _SQRT2, out=np.empty_like(x.data))
+    np.abs(cdf, out=cdf)
+    erf(cdf, out=cdf)
+    np.copysign(cdf, x.data, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def _bw(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
@@ -414,6 +442,7 @@ def _tap_columns(xp, spec, oh, ow):
     return np.ascontiguousarray(cols).reshape(oh * ow * xp.shape[2], -1)
 
 
+@lru_cache(maxsize=128)
 def _tap_windows(spec, h, w, oh, ow):
     """(output window, input window) of each kernel tap, in (ky, kx) order:
     the output positions where the tap reads the unpadded h x w input, and
@@ -426,7 +455,7 @@ def _tap_windows(spec, h, w, oh, ow):
             i0 = max(0, -(off // s))
             i1 = max(i0, min(on, (n - 1 - off) // s + 1))
             windows.append((slice(i0, i1), slice(i0 * s + off, i1 * s + off, s)))
-    return [((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols]
+    return tuple(((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols)
 
 
 def conv2d(x, weight, bias, spec):

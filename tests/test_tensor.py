@@ -1,6 +1,7 @@
 """Autograd engine: forward semantics against oracles, gradients against
 central finite differences."""
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -389,6 +390,45 @@ def test_pointwise_fixed_points():
     )
 
 
+def _gelu_inputs(dtype):
+    """+-0, the smallest and largest subnormals, x / sqrt 2 from 2 ulp below
+    to 2 ulp above 1 and 8, and large values, each with both signs."""
+    info = np.finfo(dtype)
+    values = [0.0, info.smallest_subnormal, info.smallest_normal - info.smallest_subnormal]
+    for z in (1.0, 8.0):
+        x = dtype(z * math.sqrt(2.0))
+        near = [x]
+        for _ in range(2):
+            near = [np.nextafter(near[0], dtype(0))] + near + [np.nextafter(near[-1], dtype(np.inf))]
+        zs = np.array(near, dtype=dtype) / math.sqrt(2.0)
+        assert zs.min() < z < zs.max()
+        values += near
+    values += [30.0, 1e4, np.sqrt(info.max), info.max]
+    values = np.array(values, dtype=dtype)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bits_match_erf_of_signed_input(dtype):
+    from scipy.special import erf
+
+    x = _gelu_inputs(dtype)
+    g = np.linspace(-2.0, 2.0, x.size).astype(dtype)
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    with np.errstate(over="ignore"):  # x * x of the largest inputs
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        want_grad = g * (cdf + x * pdf)
+        xt = Tensor(x, requires_grad=True)
+        out = T.gelu(xt)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+    assert out.data.dtype == xt.grad.dtype == dtype
+    assert out.data.tobytes() == (x * cdf).tobytes()
+    assert xt.grad.tobytes() == want_grad.tobytes()
+    for v in (x[1], -x[1], x[0], -x[0]):  # 0-d input
+        scalar = T.gelu(Tensor(np.array(v))).data
+        assert scalar.shape == () and scalar.tobytes() == (v * (0.5 * (1.0 + erf(v / math.sqrt(2.0))))).tobytes()
+
+
 def test_l2_normalize_zero_norm_errors():
     with pytest.raises(NumericsError):
         T.l2_normalize(Tensor(np.zeros((1, 4))), axis=1)
@@ -480,6 +520,70 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         T.backward(T.add(x, x))
+
+
+def test_second_backward_of_a_loss_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = T.tsum(T.mul(x, x))
+    T.backward(loss)
+    with pytest.raises(ValueError, match="consumed"):
+        T.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_through_a_consumed_shared_subgraph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    shared = T.mul(x, x)
+    first, second = T.tsum(shared), T.tsum(T.mul(shared, w))
+    T.backward(first)
+    with pytest.raises(ValueError, match="consumed"):
+        T.backward(second)
+    # nothing changed: not the leaves, not the second loss's own nodes
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert w.grad is None
+    assert second._backward is not None and second.grad is None
+
+
+def test_backward_frees_intermediate_gradients_and_closures():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=_SPEC_3X3.weight_shape()), requires_grad=True)
+    conv = T.conv2d(x, w, None, _SPEC_3X3)
+    act = T.gelu(conv)
+    loss = T.tsum(act)
+    T.backward(loss)
+    for node in (conv, act, loss):
+        assert node.grad is None and node._backward is None and node._prev
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert np.all(np.isfinite(x.grad)) and np.any(w.grad != 0.0)
+
+
+def test_wrapped_backward_closure_runs_once():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    out = T.gelu(x)
+    calls = []
+    inner = out._backward
+
+    def wrapped(g):  # as the benchmark's tracer wraps a node's closure
+        calls.append(g.copy())
+        return inner(g)
+
+    out._backward = wrapped
+    T.backward(T.tsum(out))
+    assert len(calls) == 1 and out._backward is None
+    np.testing.assert_array_equal(calls[0], [1.0, 1.0])
+    assert x.grad.shape == (2,)
+
+
+def test_conv2d_tap_windows_are_computed_once_per_geometry():
+    x = Tensor(np.ones((1, 2, 4, 5)))
+    w = Tensor(np.ones(_SPEC_3X3.weight_shape()))
+    T.conv2d(x, w, None, _SPEC_3X3)
+    hits = T._tap_windows.cache_info().hits
+    T.conv2d(x, w, None, _SPEC_3X3)
+    assert T._tap_windows.cache_info().hits == hits + 1
+    assert isinstance(T._tap_windows(_SPEC_3X3, 4, 5, 4, 5), tuple)
 
 
 def test_gradient_check_linear_map():

@@ -1,12 +1,13 @@
 """Losses against closed forms and brute-force oracles, PK sampling,
 synthetic data properties, and training-loop sanity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lkareid.model import ModelConfig, build_model
-from lkareid.tensor import Tensor, gradient_check
+from lkareid.model import ModelConfig, build_model, forward_train
+from lkareid.tensor import Tensor, backward, gradient_check
 from lkareid.training import (
     Optimizer,
     TrainingDivergence,
@@ -290,6 +291,33 @@ def test_single_batch_overfit_halves_loss():
         first = comp["total"] if first is None else first
         last = comp["total"]
     assert last <= 0.5 * first
+
+
+def test_backward_peak_memory_stays_near_the_forward_footprint():
+    # criterion 7's step: P = K = 4, 48x48 images, attention on.  Backward
+    # frees each node's gradient and saved arrays once used, so its traced
+    # peak stays close to what the forward holds.
+    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
+    data = synth_generate(spec)
+    train_idx, _, _ = split_query_gallery(data, spec)
+    state = build_model(ModelConfig(num_identities=16, attention_enabled=True), 0)
+    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
+    labels = data.labels[picks]
+    tracemalloc.start()
+    try:
+        outputs = forward_train(state, Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
+        by_branch = {o.branch: o for o in outputs}
+        total = cross_entropy_loss(by_branch["l1"].logits, labels, 0.1)
+        total = total + cross_entropy_loss(by_branch["h1"].logits, labels, 0.1)
+        total = total + batch_hard_triplet_loss(by_branch["l2"].embedding, labels, 0.3)
+        total = total + batch_hard_triplet_loss(by_branch["h2"].embedding, labels, 0.3)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * held, f"backward peak {peak / 1e6:.1f} MB, forward holds {held / 1e6:.1f} MB"
 
 
 def test_adam_optimizer_also_learns():
