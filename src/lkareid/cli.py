@@ -189,17 +189,26 @@ def cmd_train(args):
     return 0
 
 
+def _load_image(path):
+    """The array of real numbers in a .npy image file; anything else is a ValueError naming the file."""
+    if path is None or not path.endswith(".npy"):
+        raise ValueError(f"model evaluation needs a .npy image path, got {path!r}")
+    try:
+        with open(path, "rb") as f:
+            image = np.load(f)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: expected an array of real numbers, got {getattr(image, 'dtype', 'an .npz archive')}")
+    return image
+
+
 def _model_features(state, samples):
     """Features of the samples' .npy images, loaded 32 at a time."""
-    for s in samples:
-        if s.path is None:
-            raise ValueError("sample has no image path for model evaluation")
-        if not s.path.endswith(".npy"):
-            raise ValueError(f"unsupported image format for {s.path!r} (expected .npy)")
     batch = 32
     feats, shape = [], None
     for start in range(0, len(samples), batch):
-        images = np.stack([np.load(s.path) for s in samples[start : start + batch]])
+        images = np.stack([_load_image(s.path) for s in samples[start : start + batch]])
         if feats and images.shape[1:] != shape:
             raise ValueError(f"images of shapes {shape} and {images.shape[1:]} in one manifest")
         shape = images.shape[1:]

@@ -232,6 +232,8 @@ def _run(state, layers, x):
 
 
 def _branch_embeddings(state, images):
+    if not isinstance(images, Tensor) and np.asarray(images).dtype.kind not in "biuf":  # a cast drops imaginary parts
+        raise ValueError(f"images must be real numbers, got dtype {np.asarray(images).dtype}")
     x = images if isinstance(images, Tensor) else Tensor(images)
     if x.data.ndim != 4 or x.shape[1] != 3:
         raise ValueError("images must be (B, 3, H, W)")

@@ -20,21 +20,20 @@ returns an NCHW view (`.transpose(2, 3, 0, 1)`) of a C-contiguous
 (H, W, N, C) array, and its padding, tap columns, pooling and anti-pooling
 read and write that layout without transposing copies.  Elementwise ops
 keep it through numpy's K order.  An op takes input in any layout and
-gives the same bits.  The reductions whose float32 summation order follows
-memory order, the conv bias gradient and the one-bin mean, run on a
-C-ordered copy so that they add in NCHW order; that keeps training bitwise
-reproducible across the layout change until the acceptance gate stops
-depending on float32 bits.
+gives the same bits.  Two reductions add in memory order, and each runs on
+a C-ordered NCHW copy to pin its float32 sums: the conv bias gradient and
+the one-bin mean.  That keeps training bitwise reproducible across the
+layout change until the acceptance gate stops depending on float32 bits.
 
 `conv2d` has one path per conv kind: a dense convolution copies the
 kernel-tap slices of its channels-last padded input into columns with one
 strided copy (none for a 1x1 conv) and runs one GEMM over the whole batch;
 a depthwise one multiply-adds each tap's slice of the unpadded input into
-the outputs where that tap reads the input.  Both scatter input gradients
+the outputs where that tap reads the input, and its weight gradient sums
+each tap's products over the same windows.  Both scatter input gradients
 the same way.  Taps over padding are skipped because their zero products
-would change no bit; only the depthwise weight gradient sums over padded
-taps, to keep its float32 order.  Other group counts are rejected.  The
-slow reference is `tests/oracles.conv2d_oracle`.
+would change no bit, so only the dense forward pads.  Other group counts
+are rejected.  The slow reference is `tests/oracles.conv2d_oracle`.
 
 Pooling adds each bin's window tap by tap in row-major order, the per-bin
 order of numpy's mean of a 2 x 2 window, with one slice or gather per tap
@@ -414,15 +413,6 @@ def l2_normalize(x, axis):
 # convolution
 
 
-def _tap_view(a, spec, oh, ow):
-    """(kh, kw, oh, ow, ...) view of padded channels-last `a`: [ky, kx] is
-    the grid of positions that kernel tap (ky, kx) reads."""
-    (sh, sw), (dh, dw) = spec.stride, spec.dilation
-    s0, s1 = a.strides[:2]
-    strides = (s0 * dh, s1 * dw, s0 * sh, s1 * sw) + a.strides[2:]
-    return as_strided(a, spec.kernel + (oh, ow) + a.shape[2:], strides)
-
-
 def _pad_channels_last(x, spec):
     """Zero-padded (H + pt + pb, W + pl + pr, N, C) channels-last view of
     NCHW-shaped `x`: `x` itself without padding, else a C-contiguous copy."""
@@ -436,9 +426,12 @@ def _pad_channels_last(x, spec):
 
 
 def _tap_columns(xp, spec, oh, ow):
-    """A dense conv's GEMM input, rows [oh][ow][n] by columns [ky][kx][c]: one
-    strided copy, or none for a 1x1 conv on a channels-last input."""
-    cols = _tap_view(xp, spec, oh, ow).transpose(2, 3, 4, 0, 1, 5)
+    """A dense conv's GEMM input from padded channels-last `xp`, rows [oh][ow][n]
+    by columns [ky][kx][c]: one strided copy, none for a 1x1 channels-last conv."""
+    (sh, sw), (dh, dw) = spec.stride, spec.dilation
+    s0, s1, s2, s3 = xp.strides
+    shape = (oh, ow, xp.shape[2]) + spec.kernel + (xp.shape[3],)
+    cols = as_strided(xp, shape, (s0 * sh, s1 * sw, s2, s0 * dh, s1 * dw, s3))
     return np.ascontiguousarray(cols).reshape(oh * ow * xp.shape[2], -1)
 
 
@@ -467,7 +460,10 @@ def conv2d(x, weight, bias, spec):
     times the weight reordered to (O, kh*kw*C); its backward is one GEMM
     for the weight gradient and one for the column gradient.  A depthwise
     conv (one channel per group) multiply-adds the kh*kw shifted input
-    slices directly, each over the outputs where it reads the input.
+    slices directly, each over the outputs where it reads the input, and
+    its weight gradient sums each tap's products over the same windows.
+    Of the two C-ordered copies that pin float32 order (the other is the
+    one-bin mean), the bias gradient's is here.
     """
     if x.data.ndim != 4:
         raise ValueError("conv2d expects NCHW input")
@@ -507,10 +503,9 @@ def conv2d(x, weight, bias, spec):
             if dense:
                 dw = (g2.T @ cols).reshape(spec.out_channels, *spec.kernel, c).transpose(0, 3, 1, 2)
             else:
-                # C-ordered padded taps keep einsum's float32 summation order
-                xv = _tap_view(np.ascontiguousarray(_pad_channels_last(x.data, spec)), spec, oh, ow)
-                taps = np.ndindex(*spec.kernel)
-                dw = np.stack([np.einsum("ijnc,ijnc->c", xv[tap], g_cl) for tap in taps], axis=1)
+                # C-contiguous channels-last operands keep einsum's float32 summation order
+                xc, gc = np.ascontiguousarray(x_cl), np.ascontiguousarray(g_cl)
+                dw = np.stack([np.einsum("ijnc,ijnc->c", xc[i], gc[o]) for o, i in windows], axis=1)
             _accum(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             if dense:
@@ -553,6 +548,9 @@ def conv1d(x, weight, bias):
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def _bw(g):
+        # einsum adds in the memory order of `cols`, which the fancy-index gather
+        # lays out as (k, L, B, C_seq): strides (100, 4, 102400, 1600) at shape
+        # (16, 25, 5, 64).  A C-ordered copy of `cols` changes the bits.
         _accum(weight, np.einsum("bcl,bckl->k", g, cols))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
@@ -567,14 +565,6 @@ def conv1d(x, weight, bias):
 
 # ---------------------------------------------------------------------------
 # pooling
-
-
-def _pool_bins(extent, out_extent):
-    """Bin (start, stop) pairs: bin i covers [floor(i*H/o), ceil((i+1)*H/o))."""
-    return [
-        (math.floor(i * extent / out_extent), math.ceil((i + 1) * extent / out_extent))
-        for i in range(out_extent)
-    ]
 
 
 def _ranks(members):
@@ -593,11 +583,12 @@ def _ranks(members):
 
 @lru_cache(maxsize=32)
 def _axis_ranks(extent, out_extent):
-    """One pooling axis: the bin sizes; each position's owner, the last bin
-    covering it (so later bins win where bins overlap); and the rank maps
-    of each bin's taps (bin, position), of each position's covering bins
-    (position, bin) and of each bin's owned positions (bin, position)."""
-    bins = _pool_bins(extent, out_extent)
+    """One pooling axis, whose bin i covers [floor(i*H/o), ceil((i+1)*H/o)):
+    the bin sizes; each position's owner, the last bin covering it (so later
+    bins win where bins overlap); and the rank maps of each bin's taps (bin,
+    position), of each position's covering bins (position, bin) and of each
+    bin's owned positions (bin, position)."""
+    bins = [(math.floor(i * extent / out_extent), math.ceil((i + 1) * extent / out_extent)) for i in range(out_extent)]
     covers = [[i for i, (a, b) in enumerate(bins) if a <= p < b] for p in range(extent)]
     owner = [cover[-1] for cover in covers]
     return (

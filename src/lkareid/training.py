@@ -7,6 +7,7 @@ K instances).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -346,24 +347,19 @@ def train_step(state, batch, cfg, opt):
     """
     images, labels, cameras, views = batch
     outputs = forward_train(state, Tensor(images), cameras, views)
-    by_branch = {o.branch: o for o in outputs}
-    ce_l1 = cross_entropy_loss(by_branch["l1"].logits, labels, cfg.label_smoothing)
-    ce_h1 = cross_entropy_loss(by_branch["h1"].logits, labels, cfg.label_smoothing)
-    tri_l2 = batch_hard_triplet_loss(by_branch["l2"].embedding, labels, cfg.margin)
-    tri_h2 = batch_hard_triplet_loss(by_branch["h2"].embedding, labels, cfg.margin)
-    total = ce_l1 + ce_h1 + tri_l2 + tri_h2
+    # CE on each branch with a classifier head, in branch order, then triplet on the others
+    losses = {}
+    for o in sorted(outputs, key=lambda o: o.logits is None):
+        if o.logits is not None:
+            losses[f"ce_{o.branch}"] = cross_entropy_loss(o.logits, labels, cfg.label_smoothing)
+        else:
+            losses[f"tri_{o.branch}"] = batch_hard_triplet_loss(o.embedding, labels, cfg.margin)
+    total = functools.reduce(T.add, losses.values())
     opt.zero_grad()
     T.backward(total)
     clip_grad_norm(state.params, cfg.grad_clip_norm)
     opt.step()
-    components = {
-        "total": total.item(),
-        "ce_l1": ce_l1.item(),
-        "ce_h1": ce_h1.item(),
-        "tri_l2": tri_l2.item(),
-        "tri_h2": tri_h2.item(),
-    }
-    return state, components
+    return state, {"total": total.item(), **{name: loss.item() for name, loss in losses.items()}}
 
 
 def fit(state, data, cfg, sample_positions=None, log_fn=None):

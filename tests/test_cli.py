@@ -568,6 +568,43 @@ def test_eval_checkpoint_with_nan_pixel_exits_1(capsys, tmp_path):
     assert out == "" and err == "error: images have non-finite pixel values\n"
 
 
+def _write_bad_image(path, kind):
+    good = np.zeros((3, 16, 16), dtype=np.float32)
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "structured":
+        np.save(path, np.zeros((3, 16, 16), dtype=[("a", "f4"), ("b", "i4")]))
+    elif kind == "complex":
+        np.save(path, good.astype(np.complex64))
+    elif kind == "datetime":
+        np.save(path, np.zeros((3, 16, 16), dtype="datetime64[s]"))
+    elif kind == "object":
+        np.save(path, np.array([None] * 3, dtype=object), allow_pickle=True)
+    elif kind == "truncated":
+        np.save(path, good)
+        path.write_bytes(path.read_bytes()[:-100])
+    else:  # an .npz archive under an .npy name
+        with open(path, "wb") as f:
+            np.savez(f, image=good)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["empty", "structured", "complex", "datetime", "object", "truncated", "npz"])
+def test_eval_checkpoint_with_bad_image_file_exits_1(capsys, tmp_path, kind):
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    image = tmp_path / "bad.npy"
+    _write_bad_image(image, kind)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {image}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
     """A freshly built model maps a uniform image to a zero feature row,
     which cannot be L2-normalized: a numerical failure."""

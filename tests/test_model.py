@@ -128,6 +128,17 @@ def test_forwards_reject_non_finite_pixels(bad):
         extract_features(state, images)
 
 
+@pytest.mark.filterwarnings("error")
+def test_forwards_reject_complex_images():
+    """A cast to float would drop the imaginary part with only a warning."""
+    state = build_model(tiny_cfg(), 0)
+    images = rand_images(np.random.default_rng(8)).astype(np.complex64)
+    with pytest.raises(ValueError, match="real numbers"):
+        forward_train(state, images, np.zeros(2, int), np.zeros(2, int))
+    with pytest.raises(ValueError, match="real numbers"):
+        extract_features(state, images)
+
+
 def test_metadata_zero_init_equivalence():
     rng = np.random.default_rng(1)
     images = rand_images(rng, batch=3)

@@ -175,24 +175,29 @@ _LAYOUT_CONVS = {
 
 @pytest.mark.parametrize("spec", _LAYOUT_CONVS.values(), ids=_LAYOUT_CONVS.keys())
 def test_conv2d_bits_do_not_depend_on_input_layout(spec):
+    """Outputs and x, weight and bias gradients are byte-equal for every
+    combination of NCHW or channels-last input and output gradient."""
     rng = np.random.default_rng(17)
     x = rng.normal(size=(4, spec.in_channels, 12, 12)).astype(np.float32)
     w = rng.normal(size=spec.weight_shape()).astype(np.float32)
     b = rng.normal(size=spec.out_channels).astype(np.float32)
     g = rng.normal(size=(4, spec.out_channels) + spec.out_size(12, 12)).astype(np.float32)
 
-    def run(arr):
+    def run(arr, grad):
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (arr, w, b))
         out = T.conv2d(xt, wt, bt, spec)
-        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        # `backward` hands a node its gradient in the node's own layout, so
+        # call the closure directly to give it `grad` as laid out here
+        out._backward(grad)
         assert _is_channels_last(out.data)
         return out.data, xt.grad, wt.grad, bt.grad
 
-    nchw, channels_last = run(x), run(_channels_last(x))
-    for got, want in zip(channels_last, nchw):
-        _assert_same_bits(got, want)
+    want = run(x, g)
+    for arr, grad in [(x, _channels_last(g)), (_channels_last(x), g), (_channels_last(x), _channels_last(g))]:
+        for got, ref in zip(run(arr, grad), want):
+            _assert_same_bits(got, ref)
     # the bias gradient adds the output gradient in NCHW memory order
-    _assert_same_bits(channels_last[3], g.sum(axis=(0, 2, 3)))
+    _assert_same_bits(want[3], g.sum(axis=(0, 2, 3)))
 
 
 def test_conv2d_1x1_columns_are_a_view_of_a_channels_last_input():
