@@ -1,6 +1,6 @@
 """Fingerprint a criterion-7 training run, to show two trees compute the same bits.
 
-    python3 scripts/bit_identity.py --steps 300 --attention on --optimizer sgd --seed 0
+    python3 scripts/bit_identity.py --steps 300 --attention on --optimizer sgd
 
 Trains the acceptance suite's criterion-7 configuration (16 synthetic
 identities, 48x48 images, P = K = 4, SGD at lr 0.03, seed 0) with the
@@ -11,16 +11,8 @@ library in this checkout's ``src/``, then prints one sha256 per artifact:
     checkpoint  the file ``save_checkpoint`` writes
     features    ``extract_features`` rows of the query, then the gallery
 
-and the held-out mAP and rank-1 of those features.
-
 ``--optimizer adam`` trains with Adam at lr 0.001 instead: at lr 0.03 Adam
-overflows the triplet distances before step 300.  ``--seed N`` seeds the
-dataset, the initialization and the sampler, as ``lkareid train --seed``
-does, so a seed sweep of criterion 7's ablation is a shell loop:
-
-    for s in 0 1 2 3 4; do
-        for a in on off; do python3 scripts/bit_identity.py --seed $s --attention $a; done
-    done
+overflows the triplet distances before step 300.
 
 BLAS runs on one thread, so the hashes do not depend on how a
 multithreaded GEMM splits its sums.  Run it in two checkouts on one
@@ -41,21 +33,19 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LR = {"sgd": 0.03, "adam": 0.001}
 
 
-def fingerprint(steps, attention_enabled, optimizer="sgd", seed=0):
-    """(artifact, sha256 hex) pairs of one criterion-7 run, and the held-out
-    `EvaluationReport` of its features."""
+def fingerprint(steps, attention_enabled, optimizer="sgd"):
+    """(artifact, sha256 hex) pairs of one criterion-7 run."""
     import numpy as np
 
-    from lkareid.evaluation import Sample, evaluate_features
     from lkareid.model import ModelConfig, build_model, extract_features, save_checkpoint
     from lkareid.training import SyntheticDatasetSpec, TrainConfig, fit, split_query_gallery, synth_generate
 
-    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=seed)
+    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
     data = synth_generate(spec)
     train_idx, query_idx, gallery_idx = split_query_gallery(data, spec)
-    state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), seed)
+    state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
     cfg = TrainConfig(
-        identities_per_batch=4, instances_per_identity=4, steps=steps, lr=LR[optimizer], seed=seed, optimizer=optimizer
+        identities_per_batch=4, instances_per_identity=4, steps=steps, lr=LR[optimizer], seed=0, optimizer=optimizer
     )
     records = fit(state, data, cfg, sample_positions=train_idx)
 
@@ -68,18 +58,15 @@ def fingerprint(steps, attention_enabled, optimizer="sgd", seed=0):
         save_checkpoint(state, path)
         checkpoint = hashlib.sha256(path.read_bytes())
     features = hashlib.sha256()
-    split = []  # (rows, samples) of the query, then the gallery
     for idx in (query_idx, gallery_idx):
         rows = extract_features(state, data.images[idx]).data
         features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-        split.append((rows, [Sample(int(data.labels[i]), int(data.cameras[i])) for i in idx]))
-    hashes = [
+    return [
         ("records", hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()),
         ("parameters", params.hexdigest()),
         ("checkpoint", checkpoint.hexdigest()),
         ("features", features.hexdigest()),
     ]
-    return hashes, evaluate_features(*split[0], *split[1], max_rank=5)
 
 
 def main(argv=None):
@@ -87,7 +74,6 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=300, help="training steps (default 300)")
     parser.add_argument("--attention", choices=("on", "off"), default="on")
     parser.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
-    parser.add_argument("--seed", type=int, default=0, help="dataset, initialization and sampler seed (default 0)")
     args = parser.parse_args(argv)
     if args.steps < 0:
         parser.error("--steps must be >= 0")
@@ -97,12 +83,9 @@ def main(argv=None):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
     adam = ", adam" if args.optimizer == "adam" else ""
-    print(f"criterion-7 config, {args.steps} steps, attention {args.attention}{adam}, seed {args.seed}, 1 BLAS thread")
-    hashes, report = fingerprint(args.steps, args.attention == "on", args.optimizer, args.seed)
-    for name, digest in hashes:
+    print(f"criterion-7 config, {args.steps} steps, attention {args.attention}{adam}, 1 BLAS thread")
+    for name, digest in fingerprint(args.steps, args.attention == "on", args.optimizer):
         print(f"{name:11s} {digest}")
-    print(f"{'mAP':11s} {report.map_score:.4f}")
-    print(f"{'rank-1':11s} {report.rank1:.4f}")
     return 0
 
 

@@ -191,8 +191,6 @@ def cmd_train(args):
 
 def _load_image(path):
     """The array of real numbers in a .npy image file; anything else is a ValueError naming the file."""
-    if path is None or not path.endswith(".npy"):
-        raise ValueError(f"model evaluation needs a .npy image path, got {path!r}")
     try:
         with open(path, "rb") as f:
             image = np.load(f)
@@ -220,6 +218,9 @@ def cmd_eval(args):
     query = load_manifest(args.query, split="query")
     gallery = load_manifest(args.gallery, split="gallery")
     if args.checkpoint:
+        for s in query.samples + gallery.samples:  # before any image goes through the model
+            if s.path is None or not s.path.endswith(".npy"):
+                raise ValueError(f"model evaluation needs a .npy image path, got {s.path!r}")
         state = load_checkpoint(args.checkpoint)
         report = evaluate_features(
             _model_features(state, query.samples),

@@ -567,6 +567,14 @@ def conv1d(x, weight, bias):
 # pooling
 
 
+def _pool_bins(extent, out_extent):
+    """Bin (start, stop) pairs: bin i covers [floor(i*H/o), ceil((i+1)*H/o))."""
+    return [
+        (math.floor(i * extent / out_extent), math.ceil((i + 1) * extent / out_extent))
+        for i in range(out_extent)
+    ]
+
+
 def _ranks(members):
     """`members[a]` lists a's members in ascending order.  Rank k pairs every
     a that has a k-th member with that member: (a index, member index), each
@@ -583,12 +591,11 @@ def _ranks(members):
 
 @lru_cache(maxsize=32)
 def _axis_ranks(extent, out_extent):
-    """One pooling axis, whose bin i covers [floor(i*H/o), ceil((i+1)*H/o)):
-    the bin sizes; each position's owner, the last bin covering it (so later
-    bins win where bins overlap); and the rank maps of each bin's taps (bin,
-    position), of each position's covering bins (position, bin) and of each
-    bin's owned positions (bin, position)."""
-    bins = [(math.floor(i * extent / out_extent), math.ceil((i + 1) * extent / out_extent)) for i in range(out_extent)]
+    """One pooling axis: the bin sizes; each position's owner, the last bin
+    covering it (so later bins win where bins overlap); and the rank maps
+    of each bin's taps (bin, position), of each position's covering bins
+    (position, bin) and of each bin's owned positions (bin, position)."""
+    bins = _pool_bins(extent, out_extent)
     covers = [[i for i, (a, b) in enumerate(bins) if a <= p < b] for p in range(extent)]
     owner = [cover[-1] for cover in covers]
     return (

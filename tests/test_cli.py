@@ -605,6 +605,20 @@ def test_eval_checkpoint_with_bad_image_file_exits_1(capsys, tmp_path, kind):
     assert "Traceback" not in err
 
 
+def test_eval_checkpoint_checks_every_path_before_loading_images(capsys, tmp_path):
+    """A gallery path that is not .npy fails before any query image is loaded."""
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    image = tmp_path / "bad.npy"
+    _write_bad_image(image, "empty")
+    query, gallery = tmp_path / "q.jsonl", tmp_path / "g.jsonl"
+    query.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    gallery.write_text(json.dumps({"path": "late.png", "vehicle_id": 0, "camera_id": 1}) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--query", str(query), "--gallery", str(gallery), "--checkpoint", str(ckpt))
+    assert code == 1 and out == ""
+    assert err == "error: model evaluation needs a .npy image path, got 'late.png'\n"
+
+
 def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
     """A freshly built model maps a uniform image to a zero feature row,
     which cannot be L2-normalized: a numerical failure."""
