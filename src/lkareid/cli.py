@@ -124,7 +124,11 @@ def resolve_train_config(config_path=None, overrides=()):
             raise ValueError(f"{where}: config key {key}={value!r}: {exc}") from None
 
     if config_path:
-        for lineno, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{config_path}: {exc}") from None
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

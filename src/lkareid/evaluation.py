@@ -87,7 +87,7 @@ class Manifest:
 
     def features(self):
         if self.feature_matrix is None:
-            raise ValueError("manifest has samples without precomputed features")
+            raise ValueError(f"{self.split} manifest has samples without precomputed features")
         return self.feature_matrix
 
 
@@ -329,7 +329,7 @@ def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples
     query_feats = _feature_rows("query", query_feats, query_samples)
     gallery_feats = _feature_rows("gallery", gallery_feats, gallery_samples)
     if query_feats.shape[1] != gallery_feats.shape[1]:
-        raise ValueError("query and gallery feature dims differ")
+        raise ValueError(f"query and gallery feature dims differ: {query_feats.shape[1]} and {gallery_feats.shape[1]}")
     gallery_t = _unit_rows(gallery_feats).T
     query_unit = _unit_rows(query_feats)
     gallery_ids, gallery_cams = _id_arrays(gallery_samples)

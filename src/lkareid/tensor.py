@@ -39,8 +39,9 @@ Pooling adds each bin's window tap by tap in row-major order, the per-bin
 order of numpy's mean of a 2 x 2 window, with one slice or gather per tap
 across all bins; a one-bin grid is one whole-plane mean.  The backward
 passes of `adaptive_avg_pool` and `anti_pool` add each position's terms in
-bin order.  The slow references are `tests/oracles.adaptive_pool_oracle`
-and `anti_pool_oracle`.
+bin order.  A position's covering bins and a bin's owned positions are
+runs, so every rank map comes from the bins' integer ends.  The slow
+references are `tests/oracles.adaptive_pool_oracle` and `anti_pool_oracle`.
 
 A convolution's geometry is decided once: `Conv2dSpec` normalizes kernel,
 stride, dilation and padding when it is built, and everything else reads
@@ -527,7 +528,8 @@ def conv1d(x, weight, bias):
 
     Input is (B, C_seq, L); the same weight vector slides along every
     sequence.  The kernel size k is the weight's length, odd, and the
-    padding is (k-1)/2.
+    padding is (k-1)/2.  Both einsums read the taps as a strided view of one
+    position-major (L + k - 1, B, C_seq) padded copy, in its memory order.
     """
     if x.data.ndim != 3:
         raise ValueError("conv1d expects (B, C_seq, L) input")
@@ -538,22 +540,21 @@ def conv1d(x, weight, bias):
         raise ValueError(f"conv1d kernel must be odd and >= 1, got {k}")
     padding = (k - 1) // 2
     b, cs, length = x.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    idx = np.arange(k)[:, None] + np.arange(length)[None, :]
-    cols = xp[:, :, idx]  # (B, C_seq, k, L)
+    xp = np.zeros((length + k - 1, b, cs), dtype=x.dtype)
+    xp[padding : padding + length] = x.data.transpose(2, 0, 1)
+    s0, s1, s2 = xp.strides
+    cols = as_strided(xp, (b, cs, k, length), (s1, s2, s0, s0))  # tap j of output l: row l + j
     out_data = np.einsum("k,bckl->bcl", weight.data, cols)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(-1)[0]
+        out_data += bias.data.reshape(-1)[0]
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def _bw(g):
-        # einsum adds in the memory order of `cols`, which the fancy-index gather
-        # lays out as (k, L, B, C_seq): strides (100, 4, 102400, 1600) at shape
-        # (16, 25, 5, 64).  A C-ordered copy of `cols` changes the bits.
+        # einsum adds in the position-major memory order of `cols`; a C-ordered copy changes bits
         _accum(weight, np.einsum("bcl,bckl->k", g, cols))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((b, cs, length + k - 1), dtype=x.dtype)
             for j in range(k):
                 dxp[:, :, j : j + length] += weight.data[j] * g
             _accum(x, dxp[:, :, padding : padding + length])
@@ -567,26 +568,20 @@ def conv1d(x, weight, bias):
 # pooling
 
 
-def _pool_bins(extent, out_extent):
-    """Bin (start, stop) pairs: bin i covers [floor(i*H/o), ceil((i+1)*H/o))."""
-    return [
-        (math.floor(i * extent / out_extent), math.ceil((i + 1) * extent / out_extent))
-        for i in range(out_extent)
-    ]
+def _ranks(lo, hi):
+    """Rank k pairs every a whose run [lo[a], hi[a]) has a k-th member with
+    that member, lo[a] + k: (a index, member index), each a slice where its
+    indices are consecutive."""
+    ranks = []
+    for k in range(int((hi - lo).max())):
+        a = np.flatnonzero(hi - lo > k)
+        ranks.append((_index(a), _index(lo[a] + k)))
+    return tuple(ranks)
 
 
-def _ranks(members):
-    """`members[a]` lists a's members in ascending order.  Rank k pairs every
-    a that has a k-th member with that member: (a index, member index), each
-    a slice where it is a run of consecutive integers."""
-
-    def index(ix):
-        return slice(ix[0], ix[-1] + 1) if list(ix) == list(range(ix[0], ix[-1] + 1)) else np.array(ix)
-
-    return tuple(
-        tuple(index(ix) for ix in zip(*[(a, m[k]) for a, m in enumerate(members) if len(m) > k]))
-        for k in range(max(map(len, members)))
-    )
+def _index(ix):
+    """`ix`, as a slice if its entries are consecutive integers."""
+    return slice(int(ix[0]), int(ix[-1]) + 1) if np.all(np.diff(ix) == 1) else ix
 
 
 @lru_cache(maxsize=32)
@@ -594,17 +589,15 @@ def _axis_ranks(extent, out_extent):
     """One pooling axis: the bin sizes; each position's owner, the last bin
     covering it (so later bins win where bins overlap); and the rank maps
     of each bin's taps (bin, position), of each position's covering bins
-    (position, bin) and of each bin's owned positions (bin, position)."""
-    bins = _pool_bins(extent, out_extent)
-    covers = [[i for i, (a, b) in enumerate(bins) if a <= p < b] for p in range(extent)]
-    owner = [cover[-1] for cover in covers]
-    return (
-        np.array([b - a for a, b in bins]),
-        np.array(owner),
-        _ranks([range(a, b) for a, b in bins]),
-        _ranks(covers),
-        _ranks([[p for p in range(extent) if owner[p] == i] for i in range(out_extent)]),
-    )
+    (position, bin) and of each bin's owned positions (bin, position).  Bin
+    i covers [lo[i], hi[i]) = [floor(i*H/o), ceil((i+1)*H/o)); both ends rise
+    with i, so a position's covering bins are a run, and bin i owns [lo[i],
+    lo[i + 1])."""
+    i, p = np.arange(out_extent), np.arange(extent)
+    lo, hi = i * extent // out_extent, -(-(i + 1) * extent // out_extent)
+    owner = np.searchsorted(lo, p, side="right") - 1
+    covers = _ranks(np.searchsorted(hi, p, side="right"), owner + 1)
+    return hi - lo, owner, _ranks(lo, hi), covers, _ranks(lo, np.append(lo[1:], extent))
 
 
 def _rank_sum(src, out_hw, rows, cols):

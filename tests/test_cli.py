@@ -322,6 +322,17 @@ def test_train_unparsable_setting_names_key_and_source(capsys, tmp_path, where, 
     assert not out_dir.exists()
 
 
+def test_train_non_utf8_config_file_names_itself(capsys, tmp_path):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"\xff\xfesteps=1\n")
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--out", str(out_dir), "--config", str(cfg_file))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg_file}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_train_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "train", "--out", str(tmp_path / "x"), "--set", "warp_speed=9"
@@ -450,6 +461,24 @@ def test_eval_object_feature_exits_1_with_one_error_line(capsys, tmp_path):
     assert code == 1
     assert err.splitlines() == [err.strip()]
     assert err.startswith(f"error: {q_path}:1: ") and "Traceback" not in err
+
+
+def test_eval_without_features_names_the_manifest(capsys, tmp_path):
+    q_path, _ = _write_feature_manifests(tmp_path)
+    g_path = tmp_path / "paths.jsonl"
+    g_path.write_text(json.dumps({"path": "0002_c002_1.jpg"}) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    assert code == 1 and out == ""
+    assert err == "error: gallery manifest has samples without precomputed features\n"
+
+
+def test_eval_feature_dims_differ_gives_both_dims(capsys, tmp_path):
+    q_path, _ = _write_feature_manifests(tmp_path)
+    g_path = tmp_path / "g4.jsonl"
+    g_path.write_text(json.dumps({"feature": [1.0] * 4, "vehicle_id": 0, "camera_id": 1}) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    assert code == 1 and out == ""
+    assert err == "error: query and gallery feature dims differ: 6 and 4\n"
 
 
 def test_eval_deeply_nested_line_exits_1_without_crashing(tmp_path):

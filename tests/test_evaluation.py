@@ -281,7 +281,7 @@ def test_manifest_features_need_a_feature_on_every_record(tmp_path):
         {"path": "b", "vehicle_id": 2, "camera_id": 1},
     ])
     man = load_manifest(path, split="query")
-    with pytest.raises(ValueError, match="without precomputed features"):
+    with pytest.raises(ValueError, match="^query manifest has samples without precomputed features$"):
         man.features()
 
 

@@ -2,6 +2,7 @@
 central finite differences."""
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -237,6 +238,66 @@ def test_conv1d_rejects_even_kernel():
         T.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(2)), None)
 
 
+def _long_axis_strides(a):
+    """Strides of the axes longer than 1; a length-1 axis's stride moves no element."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+# the HCA blocks' local and global conv1d at the model's width, with the
+# strides of the output gradient `backward` hands them (laid out like the output)
+@pytest.mark.parametrize(
+    "shape,model_grad_strides", [((16, 25, 64), (100, 4, 1600)), ((16, 1, 64), (4, 64, 64))], ids=["local", "global"]
+)
+@pytest.mark.parametrize("grad_layout", ["c-order", "model"])
+def test_conv1d_bits_match_gathered_taps(shape, model_grad_strides, grad_layout):
+    """Output, its layout, and x, weight and bias gradients are byte-equal to
+    einsums over a gathered (B, C_seq, k, L) copy of the taps."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=5).astype(np.float32)
+    b = rng.normal(size=1).astype(np.float32)
+    length = shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (2, 2)))
+    cols = xp[:, :, np.arange(5)[:, None] + np.arange(length)]
+    want = np.einsum("k,bckl->bcl", w, cols) + b[0]
+    g = rng.normal(size=shape).astype(np.float32)
+    if grad_layout == "model":
+        g_model = np.empty_like(want)
+        g_model[...] = g
+        g = g_model
+        assert g.strides == model_grad_strides
+    dxp = np.zeros_like(xp)
+    for j in range(5):
+        dxp[:, :, j : j + length] += w[j] * g
+
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv1d(xt, wt, bt)
+    out._backward(g)
+    _assert_same_bits(out.data, want)
+    assert _long_axis_strides(out.data) == _long_axis_strides(want)
+    _assert_same_bits(xt.grad, dxp[:, :, 2 : 2 + length])
+    _assert_same_bits(wt.grad, np.einsum("bcl,bckl->k", g, cols))
+    _assert_same_bits(bt.grad, np.full(1, g.sum(), dtype=np.float32))
+
+
+def test_conv1d_forward_holds_no_copy_of_its_taps():
+    """The forward's traced peak is the padded input and the output, under 3x
+    the input's bytes; a gathered k = 5 tap copy alone is 5x."""
+    x = Tensor(np.random.default_rng(22).normal(size=(16, 25, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    T.conv1d(x, w, b)  # first-call allocations are not the forward's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.conv1d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak < 3 * x.data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -373,6 +434,44 @@ def test_anti_pool_bits_do_not_depend_on_input_layout():
 
     for got, want in zip(run(_channels_last(p)), run(p)):
         _assert_same_bits(got, want)
+
+
+def _run_pairs(members):
+    """Rank k of the (a, member) pairs: every a that has a k-th member, with it."""
+    ranks = []
+    for k in range(max(len(m) for m in members)):
+        ranks.append([(a, m[k]) for a, m in enumerate(members) if len(m) > k])
+    return ranks
+
+
+def _expand(index):
+    return list(range(index.start, index.stop)) if isinstance(index, slice) else index.tolist()
+
+
+def test_axis_rank_maps_match_plain_loops():
+    """For every 1 <= o <= H <= 40: bin sizes, owners, and the taps, covers and
+    owned rank maps against bins built with loops; each side of a rank is a
+    slice exactly where its indices are consecutive."""
+    for h in range(1, 41):
+        for o in range(1, h + 1):
+            bins = [(math.floor(i * h / o), math.ceil((i + 1) * h / o)) for i in range(o)]
+            covers = []
+            for p in range(h):
+                covers.append([i for i, (lo, hi) in enumerate(bins) if lo <= p < hi])
+            owner = [cover[-1] for cover in covers]
+            owned = [[p for p in range(h) if owner[p] == i] for i in range(o)]
+            sizes, got_owner, *maps = T._axis_ranks(h, o)
+            assert sizes.tolist() == [hi - lo for lo, hi in bins]
+            assert got_owner.tolist() == owner
+            for got, members in zip(maps, [[range(lo, hi) for lo, hi in bins], covers, owned]):
+                want = _run_pairs(members)
+                assert len(got) == len(want), (h, o)
+                for rank, pairs in zip(got, want):
+                    assert list(zip(*map(_expand, rank))) == pairs, (h, o)
+                    for index, side in zip(rank, zip(*pairs)):
+                        consecutive = list(side) == list(range(side[0], side[-1] + 1))
+                        assert isinstance(index, slice) == consecutive, (h, o)
+                        assert isinstance(index, slice) or index.dtype.kind == "i"
 
 
 def test_pool_bounds_errors():
