@@ -1,0 +1,173 @@
+"""Show what a criterion-7 training graph holds, and the backward's peak.
+
+    python3 scripts/graph_memory.py --attention on
+
+Runs one criterion-7 step's forward (16 synthetic identities, 48x48
+images, P = K = 4, seed 0) with the library in this checkout's ``src/``,
+adds the branch losses as ``train_step`` does, and prints:
+
+    traced      the bytes tracemalloc sees allocated after the losses, and
+                the backward's traced peak, leaves' gradients included
+    by op       the bytes of the graph's non-leaf node data, per producing op
+    by closure  the bytes that backward closures keep beyond any node's
+                data, per op and closure variable
+
+An array counts once, at the buffer that owns it: a view of a node's data
+adds nothing, and a closure variable shows up only when it holds a buffer
+that no node's data shares.  Parameters and the input batch are leaves,
+counted apart; the parameters are allocated before tracing starts.  The reports of two
+checkouts compare directly: run the script in each.
+"""
+from __future__ import annotations
+
+import argparse
+import functools
+import sys
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _owner(a):
+    """The object that owns `a`'s buffer, following views and strided views."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+def _cells(closure):
+    """(variable name, value) of each set cell of a closure."""
+    for var, cell in zip(closure.__code__.co_freevars, closure.__closure__ or ()):
+        try:
+            yield var, cell.cell_contents
+        except ValueError:  # a cell not yet set
+            continue
+
+
+def _op_name(closure):
+    """The op that made a node, from its backward closure's name; a conv is
+    split by kind."""
+    name = closure.__qualname__.split(".")[0]
+    spec = dict(_cells(closure)).get("spec")
+    if name == "conv2d" and spec is not None:
+        name += " dense" if spec.groups == 1 else " depthwise"
+    return name
+
+
+def graph_bytes(loss):
+    """(bytes by op, bytes by (op, closure variable), leaf bytes) of the
+    graph behind `loss`, each buffer counted once, node data first."""
+    import numpy as np
+
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+
+    counted = set()
+
+    def fresh(a):
+        owner = _owner(a)
+        if id(owner) in counted:
+            return 0
+        counted.add(id(owner))
+        return getattr(owner, "nbytes", 0)
+
+    leaves = sum(fresh(n.data) for n in nodes if n._backward is None)
+    inner = [n for n in nodes if n._backward is not None]
+    by_op, by_var = Counter(), Counter()
+    for node in inner:
+        by_op[_op_name(node._backward)] += fresh(node.data)
+    for node in inner:
+        op = _op_name(node._backward)
+        for var, value in _cells(node._backward):
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, np.ndarray):
+                    by_var[op, var] += fresh(item)
+    return by_op, by_var, leaves
+
+
+def criterion7_step(attention_enabled):
+    """A function that runs one step's forward and adds its losses as
+    ``train_step`` does: cross-entropy on the branches with a classifier
+    head, then batch-hard triplet on the others."""
+    import numpy as np
+
+    from lkareid import tensor as T
+    from lkareid.model import ModelConfig, build_model, forward_train
+    from lkareid.training import (
+        SyntheticDatasetSpec,
+        TrainConfig,
+        batch_hard_triplet_loss,
+        cross_entropy_loss,
+        pk_sample,
+        split_query_gallery,
+        synth_generate,
+    )
+
+    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
+    data = synth_generate(spec)
+    train_idx, _, _ = split_query_gallery(data, spec)
+    state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
+    cfg = TrainConfig(identities_per_batch=4, instances_per_identity=4)
+    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
+    labels = data.labels[picks]
+
+    def forward():
+        outputs = forward_train(state, T.Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
+        losses = [
+            cross_entropy_loss(o.logits, labels, cfg.label_smoothing)
+            if o.logits is not None
+            else batch_hard_triplet_loss(o.embedding, labels, cfg.margin)
+            for o in sorted(outputs, key=lambda o: o.logits is None)
+        ]
+        return functools.reduce(T.add, losses)
+
+    return forward
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--attention", choices=("on", "off"), default="on")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from lkareid.tensor import backward
+
+    forward = criterion7_step(args.attention == "on")
+    forward()  # first-call caches (tap windows, rank maps) are not the graph's
+    tracemalloc.start()
+    try:
+        loss = forward()
+        held, _ = tracemalloc.get_traced_memory()
+        by_op, by_var, leaves = graph_bytes(loss)
+        tracemalloc.reset_peak()
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    def row(kind, label, nbytes, note=""):
+        print(f"{kind:11s} {label:32s} {nbytes / 1e6:8.2f} MB{note}")
+
+    print(f"criterion-7 config, one step's forward and losses, attention {args.attention}")
+    row("traced", "held after the losses", held)
+    row("traced", "backward peak", peak, f"  ({peak / held:.3f}x held)")
+    row("leaves", "parameters, input", leaves)
+    row("graph", "node data", sum(by_op.values()))
+    row("graph", "closures beyond data", sum(by_var.values()))
+    for op, nbytes in by_op.most_common():
+        row("by op", op, nbytes)
+    for (op, var), nbytes in by_var.most_common():
+        if nbytes:
+            row("by closure", f"{op}.{var}", nbytes)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,10 +10,19 @@ Verification paths run in float64; training runs in float32.
 
 `backward` consumes the graph: right after a node's closure has run, the
 node drops its gradient and its closure, which frees the arrays the
-closure saved (a dense conv's tap columns, GELU's CDF).  Only leaves keep
-`.grad`.  Nodes keep their parents, so the activations go together when
-the caller drops the loss, and a later backward that reaches a consumed
-node raises ValueError before any gradient changes.
+closure saved.  Only leaves keep `.grad`.  Nodes keep their parents, so
+the activations go together when the caller drops the loss, and a later
+backward that reaches a consumed node raises ValueError before any
+gradient changes.
+
+A closure saves no array that copying rebuilds from data the graph
+already holds: apart from GELU's CDF, sigmoid's output and small per-slice
+or index arrays, it keeps only its parents and views of their data.  A
+conv's tap columns, reordered or tiled weights and padded buffers are
+built again in its backward, byte for byte as the forward built them.  So
+a backward reads its parents' and weights' data as they are when it runs:
+editing them in place between a forward and its backward is unsupported,
+as it always was for `mul` and `matmul`.
 
 Activations keep NCHW shapes but are channels-last in memory: `conv2d`
 returns an NCHW view (`.transpose(2, 3, 0, 1)`) of a C-contiguous
@@ -463,6 +472,9 @@ def conv2d(x, weight, bias, spec):
     conv (one channel per group) multiply-adds the kh*kw shifted input
     slices directly, each over the outputs where it reads the input, and
     its weight gradient sums each tap's products over the same windows.
+    The closure keeps x and weight, not the columns or the reordered or
+    tiled weights: the backward rebuilds those it needs with the forward's
+    own code, at the cost of the forward's copies.
     Of the two C-ordered copies that pin float32 order (the other is the
     one-bin mean), the bias gradient's is here.
     """
@@ -481,13 +493,22 @@ def conv2d(x, weight, bias, spec):
     oh, ow = spec.out_size(h, w)
     dense = spec.groups == 1
     windows = _tap_windows(spec, h, w, oh, ow)
+
+    # the forward's derived operands; the backward rebuilds each one it needs
+    # from x and weight, so the graph holds no copy of them
+    def _columns():
+        return _tap_columns(_pad_channels_last(x.data, spec), spec, oh, ow)
+
+    def _tap_weights():
+        if dense:
+            return weight.data.transpose(0, 2, 3, 1).reshape(spec.out_channels, len(windows) * c)
+        # tiled over N: each multiply-add runs over N*C blocks
+        return np.tile(weight.data.reshape(c, len(windows)).T, (1, n)).reshape(-1, n, c)
+
+    wt = _tap_weights()
     if dense:
-        cols = _tap_columns(_pad_channels_last(x.data, spec), spec, oh, ow)
-        wt = weight.data.transpose(0, 2, 3, 1).reshape(spec.out_channels, len(windows) * c)
-        out_cl = (cols @ wt.T).reshape(oh, ow, n, spec.out_channels)
+        out_cl = (_columns() @ wt.T).reshape(oh, ow, n, spec.out_channels)
     else:
-        # tap weights tiled over N: each multiply-add runs over N*C blocks
-        wt = np.tile(weight.data.reshape(c, len(windows)).T, (1, n)).reshape(-1, n, c)
         x_cl = x.data.transpose(2, 3, 0, 1)
         out_cl = np.zeros((oh, ow, n, c), dtype=np.result_type(x.data, wt))
         for t, (o, i) in enumerate(windows):
@@ -502,13 +523,14 @@ def conv2d(x, weight, bias, spec):
         g2 = g_cl.reshape(oh * ow * n, spec.out_channels)  # the dense GEMM's output rows
         if weight.requires_grad:
             if dense:
-                dw = (g2.T @ cols).reshape(spec.out_channels, *spec.kernel, c).transpose(0, 3, 1, 2)
+                dw = (g2.T @ _columns()).reshape(spec.out_channels, *spec.kernel, c).transpose(0, 3, 1, 2)
             else:
                 # C-contiguous channels-last operands keep einsum's float32 summation order
                 xc, gc = np.ascontiguousarray(x_cl), np.ascontiguousarray(g_cl)
                 dw = np.stack([np.einsum("ijnc,ijnc->c", xc[i], gc[o]) for o, i in windows], axis=1)
             _accum(weight, dw.reshape(weight.shape))
         if x.requires_grad:
+            wt = _tap_weights()
             if dense:
                 dcols = (g2 @ wt).reshape(oh, ow, n, len(windows), c)
             # scatter each tap's column gradient back into the input it read
@@ -529,7 +551,8 @@ def conv1d(x, weight, bias):
     Input is (B, C_seq, L); the same weight vector slides along every
     sequence.  The kernel size k is the weight's length, odd, and the
     padding is (k-1)/2.  Both einsums read the taps as a strided view of one
-    position-major (L + k - 1, B, C_seq) padded copy, in its memory order.
+    position-major (L + k - 1, B, C_seq) padded copy, in its memory order;
+    the backward builds that copy again rather than keep the forward's.
     """
     if x.data.ndim != 3:
         raise ValueError("conv1d expects (B, C_seq, L) input")
@@ -540,19 +563,24 @@ def conv1d(x, weight, bias):
         raise ValueError(f"conv1d kernel must be odd and >= 1, got {k}")
     padding = (k - 1) // 2
     b, cs, length = x.shape
-    xp = np.zeros((length + k - 1, b, cs), dtype=x.dtype)
-    xp[padding : padding + length] = x.data.transpose(2, 0, 1)
-    s0, s1, s2 = xp.strides
-    cols = as_strided(xp, (b, cs, k, length), (s1, s2, s0, s0))  # tap j of output l: row l + j
-    out_data = np.einsum("k,bckl->bcl", weight.data, cols)
+
+    def _taps():
+        # built again by the backward, so the graph holds no padded copy
+        xp = np.zeros((length + k - 1, b, cs), dtype=x.dtype)
+        xp[padding : padding + length] = x.data.transpose(2, 0, 1)
+        s0, s1, s2 = xp.strides
+        return as_strided(xp, (b, cs, k, length), (s1, s2, s0, s0))  # tap j of output l: row l + j
+
+    out_data = np.einsum("k,bckl->bcl", weight.data, _taps())
     if bias is not None:
         out_data += bias.data.reshape(-1)[0]
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def _bw(g):
-        # einsum adds in the position-major memory order of `cols`; a C-ordered copy changes bits
-        _accum(weight, np.einsum("bcl,bckl->k", g, cols))
+        if weight.requires_grad:
+            # einsum adds in the taps' position-major memory order; a C-ordered copy changes bits
+            _accum(weight, np.einsum("bcl,bckl->k", g, _taps()))
         if x.requires_grad:
             dxp = np.zeros((b, cs, length + k - 1), dtype=x.dtype)
             for j in range(k):

@@ -208,6 +208,72 @@ def test_conv2d_1x1_columns_are_a_view_of_a_channels_last_input():
 
 
 # ---------------------------------------------------------------------------
+# what a graph node holds
+
+
+def _retained_bytes(op, *args):
+    """op(*args)'s output and the traced bytes that stay allocated while it
+    is alive: its data plus whatever its backward closure keeps."""
+    op(*args)  # first-call allocations (cached tap windows) are not the node's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = op(*args)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
+def _conv_operands(spec, n, hw, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, spec.in_channels, hw, hw)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=spec.weight_shape()).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(spec.out_channels, dtype=np.float32), requires_grad=True)
+    return x, w, b
+
+
+@pytest.mark.parametrize(
+    "spec, hw",
+    [(Conv2dSpec(3, 16, (3, 3), stride=2, padding=1), 48), (Conv2dSpec(64, 64, (3, 3), padding=1), 6)],
+    ids=["stem.0", "trunk"],
+)
+def test_dense_conv_graph_holds_no_tap_columns(spec, hw):
+    """A dense conv's node holds its output, not its tap columns: those are
+    9x the input, 1.7x the stem's output and 9x the trunk's."""
+    x, w, b = _conv_operands(spec, 16, hw, 23)
+    out, held = _retained_bytes(T.conv2d, x, w, b, spec)
+    assert out.requires_grad
+    assert held < 1.5 * out.data.nbytes, f"holds {held} B for a {out.data.nbytes} B output"
+
+
+@pytest.mark.parametrize("name", ["dw", "dd"])
+def test_depthwise_conv_graph_holds_no_tiled_weights(name):
+    """A depthwise LKA conv's node holds its output, not its tap weights
+    tiled over the batch: at the model's 6x6 maps those are 0.25x (3x3) and
+    0.44x (4x4 dilated) the output."""
+    from lkareid.attention import LkaConfig, lka_convs
+
+    spec = dict(lka_convs(LkaConfig(64)))[name]
+    x, w, b = _conv_operands(spec, 16, 6, 24)
+    out, held = _retained_bytes(T.conv2d, x, w, b, spec)
+    tiled = spec.kernel[0] * spec.kernel[1] * x.data[:, :, 0, 0].nbytes
+    assert out.requires_grad
+    assert held - out.data.nbytes < tiled / 4, f"holds {held} B for a {out.data.nbytes} B output"
+
+
+def test_conv1d_graph_holds_no_padded_copy():
+    """conv1d's node holds its output, the input's size, and no padded
+    position-major copy of the input, which is 1.06x the input."""
+    x = Tensor(np.random.default_rng(25).normal(size=(16, 25, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    out, held = _retained_bytes(T.conv1d, x, w, b)
+    assert out.requires_grad
+    assert held < 1.5 * x.data.nbytes, f"holds {held} B for a {x.data.nbytes} B input"
+
+
+# ---------------------------------------------------------------------------
 # conv1d
 
 

@@ -320,6 +320,32 @@ def test_backward_peak_memory_stays_near_the_forward_footprint():
     assert peak <= 1.15 * held, f"backward peak {peak / 1e6:.1f} MB, forward holds {held / 1e6:.1f} MB"
 
 
+def test_training_forward_holds_under_30_mb():
+    # criterion 7's step, as above.  The graph keeps the activations and
+    # GELU's CDF, which would take an erf to rebuild; a conv's tap columns,
+    # reordered weights and padded buffers are rebuilt in its backward.
+    # Keeping the dense convs' columns alone would add 18.9 MB.
+    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
+    data = synth_generate(spec)
+    train_idx, _, _ = split_query_gallery(data, spec)
+    state = build_model(ModelConfig(num_identities=16, attention_enabled=True), 0)
+    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
+    labels = data.labels[picks]
+    tracemalloc.start()
+    try:
+        outputs = forward_train(state, Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
+        by_branch = {o.branch: o for o in outputs}
+        total = cross_entropy_loss(by_branch["l1"].logits, labels, 0.1)
+        total = total + cross_entropy_loss(by_branch["h1"].logits, labels, 0.1)
+        total = total + batch_hard_triplet_loss(by_branch["l2"].embedding, labels, 0.3)
+        total = total + batch_hard_triplet_loss(by_branch["h2"].embedding, labels, 0.3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.requires_grad
+    assert held < 30e6, f"the forward holds {held / 1e6:.1f} MB"
+
+
 def test_adam_optimizer_also_learns():
     data = synth_generate(SyntheticDatasetSpec())
     state = tiny_model()
