@@ -3,8 +3,8 @@
     python3 scripts/graph_memory.py --attention on
 
 Runs one criterion-7 step's forward (16 synthetic identities, 48x48
-images, P = K = 4, seed 0) with the library in this checkout's ``src/``,
-adds the branch losses as ``train_step`` does, and prints:
+images, P = K = 4, seed 0) and its losses with ``training.step_losses``, as
+``train_step`` does, from the library in this checkout's ``src/``, and prints:
 
     traced      the bytes tracemalloc sees allocated after the losses, and
                 the backward's traced peak, leaves' gradients included
@@ -21,7 +21,6 @@ checkouts compare directly: run the script in each.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import tracemalloc
 from collections import Counter
@@ -93,21 +92,13 @@ def graph_bytes(loss):
 
 
 def criterion7_step(attention_enabled):
-    """A function that runs one step's forward and adds its losses as
-    ``train_step`` does: cross-entropy on the branches with a classifier
-    head, then batch-hard triplet on the others."""
+    """A function that runs one step's forward and losses with
+    ``training.step_losses`` and returns the total loss."""
     import numpy as np
 
-    from lkareid import tensor as T
-    from lkareid.model import ModelConfig, build_model, forward_train
+    from lkareid.model import ModelConfig, build_model
     from lkareid.training import (
-        SyntheticDatasetSpec,
-        TrainConfig,
-        batch_hard_triplet_loss,
-        cross_entropy_loss,
-        pk_sample,
-        split_query_gallery,
-        synth_generate,
+        SyntheticDatasetSpec, TrainConfig, pk_sample, split_query_gallery, step_losses, synth_generate,
     )
 
     spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
@@ -119,14 +110,8 @@ def criterion7_step(attention_enabled):
     labels = data.labels[picks]
 
     def forward():
-        outputs = forward_train(state, T.Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
-        losses = [
-            cross_entropy_loss(o.logits, labels, cfg.label_smoothing)
-            if o.logits is not None
-            else batch_hard_triplet_loss(o.embedding, labels, cfg.margin)
-            for o in sorted(outputs, key=lambda o: o.logits is None)
-        ]
-        return functools.reduce(T.add, losses)
+        batch = (data.images[picks], labels, data.cameras[picks], data.views[picks])
+        return step_losses(state, batch, cfg)[0]
 
     return forward
 

@@ -4,8 +4,8 @@ A K x K convolution is replaced by a (2d-1) x (2d-1) depthwise conv, a
 ceil(K/d) x ceil(K/d) depthwise conv with dilation d, and a 1x1 conv.
 The hybrid channel block pools the feature map to a small k_s x k_s grid,
 runs 1-d cross-channel convolutions on a global and a per-bin local
-branch, restores resolution by anti-pooling, and gates the input with a
-sigmoid of the fused branches.
+branch, restores the local branch's resolution by anti-pooling, broadcasts
+the global one over it, and gates the input with a sigmoid of their sum.
 """
 from __future__ import annotations
 
@@ -198,7 +198,6 @@ def hca_attention_map(x, params, cfg):
     g = T.reshape(g, (n, 1, c))
     g = T.conv1d(g, params["global.weight"], params["global.bias"])
     g = T.reshape(g, (n, c, 1, 1))
-    u_global = T.anti_pool(g, (h, w))
 
     # local branch: one channel sequence per pooling bin, shared kernel
     loc = T.reshape(pooled, (n, c, ks * ks))
@@ -208,7 +207,8 @@ def hca_attention_map(x, params, cfg):
     loc = T.reshape(loc, (n, c, ks, ks))
     u_local = T.anti_pool(loc, (h, w))
 
-    return T.sigmoid(T.add(u_global, u_local))
+    # the global (N, C, 1, 1) map broadcasts over every position, as anti-pooling it would
+    return T.sigmoid(T.add(g, u_local))
 
 
 def hca_forward(x, params, cfg):

@@ -1,13 +1,13 @@
 """Command-line entry point: inspect, gradcheck, train, eval.
 
-Exit codes: 0 success, 1 validation or usage failure, 2 numerical failure.
-gradcheck and train take --seed, and every subcommand is bit-reproducible
-single-threaded.  train writes its resolved configuration, step log and
-checkpoint into --out, and on a numerical failure still checkpoints the
-last finished step; eval prints its report and, given --out, writes it
-there too.  The configuration, checkpoint and report are written beside
-their path and renamed over it, so a failed write leaves an earlier file
-whole.
+Exit codes: 0 success, 1 validation, usage or out-of-memory failure, 2
+numerical failure.  gradcheck and train take --seed, and every subcommand
+is bit-reproducible single-threaded.  train writes its resolved
+configuration, step log and checkpoint into --out, and on a numerical
+failure still checkpoints the last finished step; eval prints its report
+and, given --out, writes it there too.  The configuration, checkpoint and
+report are written beside their path and renamed over it, so a failed
+write leaves an earlier file whole.
 """
 from __future__ import annotations
 
@@ -165,11 +165,12 @@ def cmd_train(args):
     # map (the cost walk checks each block) and P above the split's identities
     count_params_flops(model_cfg, (1, 3, data_spec.image_size, data_spec.image_size))
     pk_identities(data.identity_index(train_idx), train_cfg.identities_per_batch)
+    # built before anything is written, so a model too large for memory writes nothing
+    state = build_model(model_cfg, train_cfg.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
     write_atomic(out_dir / "config.json", config_text.encode("utf-8"))
-    state = build_model(model_cfg, train_cfg.seed)
     records = []
     with open(out_dir / "log.jsonl", "w", encoding="utf-8") as log:
 
@@ -294,6 +295,10 @@ def main(argv=None):
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -51,8 +51,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def batch_size(self):
@@ -71,6 +72,8 @@ class SyntheticDatasetSpec:
         for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -338,23 +341,32 @@ def clip_grad_norm(params, max_norm):
     return norm
 
 
-def train_step(state, batch, cfg, opt):
-    """One forward/backward/update on a PK batch with the run's Optimizer.
+def step_losses(state, batch, cfg):
+    """One training step's forward and branch losses on a PK batch.
 
-    `batch` is (images, labels, camera_ids, view_ids).  Returns the state
-    and the four loss components plus their total; a step that raises
-    NumericsError changes no parameter.
+    `batch` is (images, labels, camera_ids, view_ids).  Returns the total
+    loss and the losses by name: cross-entropy on each branch with a
+    classifier head, in branch order, then batch-hard triplet on the
+    others, added left to right into the total.
     """
     images, labels, cameras, views = batch
     outputs = forward_train(state, Tensor(images), cameras, views)
-    # CE on each branch with a classifier head, in branch order, then triplet on the others
     losses = {}
     for o in sorted(outputs, key=lambda o: o.logits is None):
         if o.logits is not None:
             losses[f"ce_{o.branch}"] = cross_entropy_loss(o.logits, labels, cfg.label_smoothing)
         else:
             losses[f"tri_{o.branch}"] = batch_hard_triplet_loss(o.embedding, labels, cfg.margin)
-    total = functools.reduce(T.add, losses.values())
+    return functools.reduce(T.add, losses.values()), losses
+
+
+def train_step(state, batch, cfg, opt):
+    """`step_losses` on a PK batch, then backward, gradient clipping and an
+    update with the run's Optimizer.  Returns the state and the four loss
+    components plus their total; a step that raises NumericsError changes
+    no parameter.
+    """
+    total, losses = step_losses(state, batch, cfg)
     opt.zero_grad()
     T.backward(total)
     clip_grad_norm(state.params, cfg.grad_clip_norm)

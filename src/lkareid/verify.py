@@ -120,6 +120,8 @@ def gradcheck_model(seed):
 
 def run_gradcheck(scope, seed):
     """Worst relative error per checked block for the requested scope."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = {}
     for block in _BLOCKS:
         if scope in ("all", block):

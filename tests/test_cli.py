@@ -58,6 +58,22 @@ def test_inspect_trivial_decomposition(capsys):
     assert doc["dw_kernel"] == doc["dd_kernel"] == doc["receptive_field"] == 1
 
 
+def test_inspect_text_report(capsys):
+    code, out, err = run_cli(capsys, "inspect", "--K", "21", "--d", "3", "--C", "256")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "K=21 d=3 C=256  (32x32 input)",
+        "  depthwise kernel        5x5",
+        "  dilated depthwise       7x7, dilation 3",
+        "  receptive field         23",
+        "  params decomposed       84,480",
+        "  params depthwise+1x1    178,432",  # 256 * 21 * 21 + 256 * 256
+        "  params full KxK conv    28,901,376",
+        "  LKA block FLOPs         442,236,928",
+        "  conv1d kernel for C     5",
+    ]
+
+
 def test_inspect_invalid_kernel(capsys):
     code, _, err = run_cli(capsys, "inspect", "--K", "4", "--d", "1")
     assert code == 1
@@ -119,6 +135,33 @@ def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gradcheck", "--scope", "hca")
     assert code == 2
     assert "FAILED in block hca" in err
+
+
+def test_gradcheck_json_summary(capsys):
+    code, out, err = run_cli(capsys, "gradcheck", "--scope", "losses", "--json")
+    assert code == 0 and err == ""
+    *rows, last = out.splitlines()
+    doc = json.loads(last)
+    assert doc["pass"] is True
+    assert sorted(doc["results"]) == ["cross_entropy", "triplet"]
+    assert all(0.0 <= value <= verify.TOLERANCE for value in doc["results"].values())
+    assert [row.split()[0] for row in rows] == ["cross_entropy", "triplet"]
+    assert all(row.endswith("pass") for row in rows)
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["gradcheck", "--seed", "-3"], -3),
+    (["train", "--seed", "-1"], -1),
+    (["train", "--set", "seed=-1"], -1),
+], ids=["gradcheck", "train", "train-set"])
+def test_negative_seed_error_names_the_seed(capsys, tmp_path, argv, seed):
+    out_dir = tmp_path / "run"
+    if argv[0] == "train":
+        argv = [*argv, "--out", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +372,31 @@ def test_train_non_utf8_config_file_names_itself(capsys, tmp_path):
     code, out, err = run_cli(capsys, "train", "--out", str(out_dir), "--config", str(cfg_file))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {cfg_file}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_train_config_line_without_equals_names_file_and_line(capsys, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# comment\nsteps=1\nlr 0.1\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--out", str(out_dir), "--config", str(cfg_file))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg_file}:3: expected key=value\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 373. TiB for an array", ""], ids=["numpy", "bare"])
+@pytest.mark.parametrize("builder", ["build_model", "synth_generate"])
+def test_train_out_of_memory_exits_1_before_writing(capsys, tmp_path, monkeypatch, builder, message):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, builder, out_of_memory)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, *_fast_train_args(out_dir))
+    assert code == 1 and out == ""
+    assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
     assert "Traceback" not in err
     assert not out_dir.exists()
 

@@ -801,6 +801,46 @@ def test_gradient_check_misc_ops(seed):
     assert gradient_check(f, [x, w]) <= 1e-4
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_check_concat(seed):
+    rng = np.random.default_rng(200 + seed)
+    parts = [Tensor(rng.normal(size=(2, width, 3))) for width in (1, 3, 2)]
+    weight = rng.normal(size=(2, 6, 3))
+
+    def f(*ts):
+        joined = T.concat(ts, axis=1)
+        return T.tsum(T.mul(T.mul(joined, joined), weight))
+
+    assert gradient_check(f, parts) <= 1e-4
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_check_l2_normalize(seed, axis):
+    rng = np.random.default_rng(300 + seed)
+    x = Tensor(rng.normal(size=(3, 4)))
+    weight = rng.normal(size=(3, 4))
+
+    def f(xt):
+        return T.tsum(T.mul(T.l2_normalize(xt, axis=axis), weight))
+
+    assert gradient_check(f, [x]) <= 1e-4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_check_add_mul_over_size_1_axes(seed):
+    # b and c broadcast along axes they hold at size 1, with as many axes as a
+    rng = np.random.default_rng(400 + seed)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    b = Tensor(rng.normal(size=(2, 1, 4, 1)))
+    c = Tensor(rng.normal(size=(1, 3, 1, 5)))
+
+    def f(at, bt, ct):
+        return T.tsum(T.mul(T.add(at, bt), T.mul(ct, at)))
+
+    assert gradient_check(f, [a, b, c]) <= 1e-4
+
+
 def test_gradient_check_detects_nondeterminism():
     rng = np.random.default_rng(12)
     x = Tensor(np.ones(3))

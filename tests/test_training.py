@@ -445,3 +445,10 @@ def test_train_config_validation():
             SyntheticDatasetSpec(**{name: 0})
     assert TrainConfig(steps=0).steps == 0
     assert TrainConfig().batch_size == 16  # default P=4, K=4
+
+
+@pytest.mark.parametrize("config", [TrainConfig, SyntheticDatasetSpec])
+def test_negative_seed_rejected_by_name(config):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        config(seed=-1)
+    assert config(seed=0).seed == 0
