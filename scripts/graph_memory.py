@@ -12,10 +12,11 @@ images, P = K = 4, seed 0) and its losses with ``training.step_losses``, as
     by closure  the bytes that backward closures keep beyond any node's
                 data, per op and closure variable
 
-An array counts once, at the buffer that owns it: a view of a node's data
-adds nothing, and a closure variable shows up only when it holds a buffer
-that no node's data shares.  Parameters and the input batch are leaves,
-counted apart; the parameters are allocated before tracing starts.  The reports of two
+An array counts once, at the buffer that owns it, and at the op that made
+that buffer: a view of a node's data (a reshape, say) adds nothing, and a
+closure variable shows up only when it holds a buffer that no node's data
+shares.  Parameters and the input batch are leaves, counted apart; the
+parameters are allocated before tracing starts.  The reports of two
 checkouts compare directly: run the script in each.
 """
 from __future__ import annotations
@@ -57,16 +58,22 @@ def _op_name(closure):
 
 def graph_bytes(loss):
     """(bytes by op, bytes by (op, closure variable), leaf bytes) of the
-    graph behind `loss`, each buffer counted once, node data first."""
+    graph behind `loss`, each buffer counted once, node data first.
+
+    Nodes are walked in post-order, as ``tensor.backward`` orders them: a
+    node comes after every node it was made from, so a buffer shared with
+    views counts at the op that made it, whatever the operand order."""
     import numpy as np
 
-    nodes, stack, seen = [], [loss], set()
+    nodes, stack, seen = [], [(loss, False)], set()
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
+        node, done = stack.pop()
+        if done:
             nodes.append(node)
-            stack.extend(node._prev)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._prev)
 
     counted = set()
 
@@ -98,7 +105,7 @@ def criterion7_step(attention_enabled):
 
     from lkareid.model import ModelConfig, build_model
     from lkareid.training import (
-        SyntheticDatasetSpec, TrainConfig, pk_sample, split_query_gallery, step_losses, synth_generate,
+        SyntheticDatasetSpec, TrainConfig, pk_batch, split_query_gallery, step_losses, synth_generate,
     )
 
     spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
@@ -106,12 +113,11 @@ def criterion7_step(attention_enabled):
     train_idx, _, _ = split_query_gallery(data, spec)
     state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
     cfg = TrainConfig(identities_per_batch=4, instances_per_identity=4)
-    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
-    labels = data.labels[picks]
+    index = data.identity_index(train_idx)
 
     def forward():
-        batch = (data.images[picks], labels, data.cameras[picks], data.views[picks])
-        return step_losses(state, batch, cfg)[0]
+        # the same picks on every call: the batch is drawn with a fresh generator
+        return step_losses(state, pk_batch(data, index, cfg, np.random.default_rng(0)), cfg)[0]
 
     return forward
 

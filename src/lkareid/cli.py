@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import LkaConfig, count_params_flops, eca_kernel_size
-from .evaluation import evaluate, evaluate_features, load_manifest
+from .evaluation import evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint, write_atomic
 from .tensor import NumericsError
 from .training import SyntheticDatasetSpec, TrainConfig, fit, pk_identities, split_query_gallery, synth_generate
@@ -227,15 +227,10 @@ def cmd_eval(args):
             if s.path is None or not s.path.endswith(".npy"):
                 raise ValueError(f"model evaluation needs a .npy image path, got {s.path!r}")
         state = load_checkpoint(args.checkpoint)
-        report = evaluate_features(
-            _model_features(state, query.samples),
-            query.samples,
-            _model_features(state, gallery.samples),
-            gallery.samples,
-            max_rank=args.max_rank,
-        )
+        query_feats, gallery_feats = (_model_features(state, m.samples) for m in (query, gallery))
     else:
-        report = evaluate(query, gallery, max_rank=args.max_rank)
+        query_feats, gallery_feats = query.features(), gallery.features()
+    report = evaluate_features(query_feats, query.samples, gallery_feats, gallery.samples, max_rank=args.max_rank)
     text = report.to_json()
     if args.out:
         write_atomic(args.out, (text + "\n").encode("utf-8"))

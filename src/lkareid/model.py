@@ -132,15 +132,14 @@ class LayerPlan:
 
     stem: tuple  # conv layers shared by every branch
     branches: tuple  # (branch, layers) in BRANCHES order
-    heads: tuple  # (branch, linear layer) for the classification branches
+    heads: dict  # branch -> linear layer, for the classification branches
     meta: Layer
 
     def layers(self):
         yield from self.stem
         for _, layers in self.branches:
             yield from layers
-        for _, head in self.heads:
-            yield head
+        yield from self.heads.values()
         yield self.meta
 
 
@@ -181,7 +180,7 @@ def layer_plan(cfg):
                 layers.append(Layer(op, f"{base}.attn", attn_cfg, attn_params))
         layers += [Layer("gap", f"branch_{br}.gap"), _linear(f"branch_{br}.proj", cfg.feature_dim, c)]
         branches.append((br, tuple(layers)))
-    heads = tuple((br, _linear(f"head_{br}", cfg.num_identities, cfg.feature_dim)) for br in _CLS_BRANCHES)
+    heads = {br: _linear(f"head_{br}", cfg.num_identities, cfg.feature_dim) for br in _CLS_BRANCHES}
     meta = Layer("table", "meta", None, (
         ("camera", (cfg.num_cameras, cfg.feature_dim), _ZEROS),
         ("view", (NUM_VIEWS, cfg.feature_dim), _ZEROS),
@@ -268,13 +267,12 @@ def forward_train(state, images, camera_ids, view_ids):
             T.gather_rows(tables["camera"], camera_ids),
             T.gather_rows(tables["view"], view_ids),
         )
-    heads = dict(plan.heads)
     outputs = []
     for br in BRANCHES:
         emb = embeddings[br]
         if meta is not None:
             emb = T.add(emb, meta)
-        logits = _run(state, (heads[br],), emb) if br in heads else None
+        logits = _run(state, (plan.heads[br],), emb) if br in plan.heads else None
         outputs.append(BranchOutput(branch=br, embedding=emb, logits=logits))
     return outputs
 
@@ -322,12 +320,11 @@ def model_params_flops(cfg, input_shape):
         raise ValueError("model input must have 3 channels")
     plan = layer_plan(cfg)
     flops, stem_out = _layers_flops(plan.stem, input_shape)
-    heads = dict(plan.heads)
     for br, layers in plan.branches:
         branch_flops, emb_shape = _layers_flops(layers, stem_out)
         flops += branch_flops
-        if br in heads:
-            flops += _layers_flops((heads[br],), emb_shape)[0]
+        if br in plan.heads:
+            flops += _layers_flops((plan.heads[br],), emb_shape)[0]
     return param_count(parameter_shapes(cfg)), flops
 
 
@@ -336,9 +333,7 @@ def model_params_flops(cfg, input_shape):
 
 
 def _config_to_json(cfg):
-    d = dataclasses.asdict(cfg)
-    d["stem_widths"] = list(d["stem_widths"])
-    return json.dumps(d, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
 def _config_and_layout(raw):

@@ -198,11 +198,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _wrap(x, dtype):
     if isinstance(x, Tensor):

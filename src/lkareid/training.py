@@ -195,6 +195,13 @@ def pk_sample(index, p, k_inst, rng):
     return batch
 
 
+def pk_batch(data, index, cfg, rng):
+    """One step's PK batch from `data`: (images, labels, camera_ids,
+    view_ids) of `pk_sample`'s picks from `index`."""
+    picks = pk_sample(index, cfg.identities_per_batch, cfg.instances_per_identity, rng)
+    return data.images[picks], data.labels[picks], data.cameras[picks], data.views[picks]
+
+
 # ---------------------------------------------------------------------------
 # synthetic dataset
 
@@ -259,19 +266,11 @@ def split_query_gallery(data, spec):
     """Held-out evaluation split.  Sample j of an identity, at camera
     j % num_cameras and view (j // num_cameras) % NUM_VIEWS, is the query if
     j = 0, gallery if j >= num_cameras and its camera is not 0, else train."""
-    train_idx, query_idx, gallery_idx = [], [], []
-    per_id = spec.images_per_identity
-    for identity in range(spec.num_identities):
-        base = identity * per_id
-        for j in range(per_id):
-            pos = base + j
-            if j == 0:
-                query_idx.append(pos)
-            elif j >= spec.num_cameras and data.cameras[pos] != 0:
-                gallery_idx.append(pos)
-            else:
-                train_idx.append(pos)
-    return np.array(train_idx), np.array(query_idx), np.array(gallery_idx)
+    pos = np.arange(spec.num_identities * spec.images_per_identity)
+    j = pos % spec.images_per_identity
+    query = j == 0
+    gallery = (j >= spec.num_cameras) & (data.cameras[pos] != 0)
+    return np.flatnonzero(~query & ~gallery), np.flatnonzero(query), np.flatnonzero(gallery)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +327,13 @@ class Optimizer:
 def clip_grad_norm(params, max_norm):
     """Scale all gradients down so their joint L2 norm is at most max_norm.
     Returns the pre-clip norm."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    squares = [float((g.astype(np.float64) ** 2).sum()) for g in grads]
+    norm = math.sqrt(functools.reduce(float.__add__, squares, 0.0))  # in order; sum() compensates on 3.12+
     if max_norm and norm > max_norm:
         scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 
@@ -385,14 +381,7 @@ def fit(state, data, cfg, sample_positions=None, log_fn=None):
     opt = Optimizer(state.params, cfg)
     records = []
     for step in range(cfg.steps):
-        picks = pk_sample(index, cfg.identities_per_batch, cfg.instances_per_identity, rng)
-        batch = (
-            data.images[picks],
-            data.labels[picks],
-            data.cameras[picks],
-            data.views[picks],
-        )
-        _, components = train_step(state, batch, cfg, opt)
+        _, components = train_step(state, pk_batch(data, index, cfg, rng), cfg, opt)
         record = {"step": step, **components}
         records.append(record)
         if log_fn is not None:

@@ -6,6 +6,8 @@ Each check has fixed shapes and sample counts; only the seed varies.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
@@ -105,15 +107,8 @@ def gradcheck_model(seed):
         for name, p in zip(names, ps):
             state.params[name] = p
         outputs = forward_train(state, xt, cams, views)
-        parts = []
-        for out in outputs:
-            parts.append(T.tsum(out.embedding))
-            if out.logits is not None:
-                parts.append(T.tsum(out.logits))
-        total = parts[0]
-        for part in parts[1:]:
-            total = T.add(total, part)
-        return total
+        parts = [T.tsum(t) for out in outputs for t in (out.embedding, out.logits) if t is not None]
+        return functools.reduce(T.add, parts)
 
     return gradient_check(f, [images, *state.params.values()], sample=4, rng=rng)
 

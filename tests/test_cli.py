@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -767,3 +768,56 @@ def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "stem_widths" in err and "Traceback" not in err
+
+
+def test_eval_skips_blank_manifest_lines(capsys, tmp_path):
+    q_path, g_path = _write_feature_manifests(tmp_path)
+    _, expected, _ = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n   \n" + "\n\n".join(q_path.read_text().splitlines()) + "\n\t\n")
+    code, out, err = run_cli(capsys, "eval", "--query", str(spaced), "--gallery", str(g_path))
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("[1, 2]", "record must be a JSON object"),
+    ("7", "record must be a JSON object"),
+    ('{"vehicle_id": 0, "camera_id": 0}', "record needs 'path' or 'feature'"),
+], ids=["array", "number", "no-path-or-feature"])
+def test_eval_bad_record_names_file_line_and_problem(capsys, tmp_path, line, problem):
+    _, g_path = _write_feature_manifests(tmp_path)
+    q_path = tmp_path / "bad.jsonl"
+    q_path.write_text("\n" + line + "\n")
+    code, out, err = run_cli(capsys, "eval", "--query", str(q_path), "--gallery", str(g_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {q_path}:2: {problem}\n"
+
+
+def test_eval_checkpoint_config_snapshot_not_an_object_exits_1(capsys, tmp_path):
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    blob = ckpt.read_bytes()
+    (cfg_len,) = struct.unpack("<I", blob[6:10])
+    ckpt.write_bytes(blob[:6] + struct.pack("<I", 3) + b"[1]" + blob[10 + cfg_len :])
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": "a.npy", "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: config snapshot is not a JSON object\n"
+
+
+def test_eval_checkpoint_with_one_channel_images_exits_1(capsys, tmp_path):
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    image = tmp_path / "gray.npy"
+    np.save(image, np.random.default_rng(0).uniform(0.0, 1.0, (1, 16, 16)).astype(np.float32))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": str(image), "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: images must be (B, 3, H, W)\n"

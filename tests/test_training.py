@@ -17,6 +17,7 @@ from lkareid.training import (
     clip_grad_norm,
     cross_entropy_loss,
     fit,
+    pk_batch,
     pk_sample,
     split_query_gallery,
     synth_generate,
@@ -222,6 +223,32 @@ def test_split_query_gallery_disjoint_and_crosscamera():
             data.labels[gi] == data.labels[qi] and data.cameras[gi] != data.cameras[qi]
             for gi in gallery
         )
+
+
+@pytest.mark.parametrize("per_id, cams", [(4, 4), (1, 4), (8, 3), (7, 2)])
+def test_split_query_gallery_follows_its_rule_with_integer_arrays(per_id, cams):
+    """(4, 4) has no gallery and (1, 4) neither train nor gallery: an empty
+    split must still index the images."""
+    spec = SyntheticDatasetSpec(num_identities=4, images_per_identity=per_id, num_cameras=cams, image_size=16)
+    data = synth_generate(spec)
+    expected = ([], [], [])  # train, query, gallery
+    for pos in range(len(data.labels)):
+        j = pos % per_id
+        expected[1 if j == 0 else 2 if j >= cams and data.cameras[pos] != 0 else 0].append(pos)
+    for split, want in zip(split_query_gallery(data, spec), expected):
+        assert split.dtype.kind == "i" and split.tolist() == want
+        assert data.images[split].shape == (len(want), 3, 16, 16)
+
+
+def test_pk_batch_gathers_the_pk_sample_picks():
+    data = synth_generate(SyntheticDatasetSpec(num_identities=4, images_per_identity=4, image_size=16))
+    index = data.identity_index()
+    cfg = TrainConfig(identities_per_batch=2, instances_per_identity=3)
+    picks = pk_sample(index, 2, 3, np.random.default_rng(5))
+    batch = pk_batch(data, index, cfg, np.random.default_rng(5))
+    assert len(batch) == 4
+    for got, array in zip(batch, (data.images, data.labels, data.cameras, data.views)):
+        np.testing.assert_array_equal(got, array[picks])
 
 
 def test_default_k_draws_the_training_split_without_replacement():
