@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import LkaConfig, count_params_flops, eca_kernel_size
-from .evaluation import evaluate_features, load_manifest
+from .evaluation import MAX_RANK, evaluate_features, load_manifest
 from .model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint, write_atomic
 from .tensor import NumericsError
 from .training import SyntheticDatasetSpec, TrainConfig, fit, pk_identities, split_query_gallery, synth_generate
@@ -269,7 +269,7 @@ def build_parser():
     p.add_argument("--gallery", required=True)
     p.add_argument("--checkpoint", help="extract features with this model instead")
     p.add_argument("--out", help="write the report JSON here")
-    p.add_argument("--max-rank", type=int, default=10)
+    p.add_argument("--max-rank", type=int, default=MAX_RANK)
     p.set_defaults(func=cmd_eval)
     return parser
 

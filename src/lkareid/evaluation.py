@@ -32,6 +32,7 @@ import numpy as np
 import orjson
 
 FORMAT_VERSION = 1
+MAX_RANK = 10  # the CMC curve's length when a caller sets none
 
 # orjson 3.8.3 overflows the C stack, killing the interpreter, on a line
 # nested some 150000 deep, so a line with more '[' and '{' than this is
@@ -321,7 +322,7 @@ def _feature_rows(split, feats, samples):
     return feats
 
 
-def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples, max_rank=10):
+def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples, max_rank=MAX_RANK):
     """Full protocol over precomputed features; equal similarities rank
     in gallery order."""
     if max_rank < 1:
@@ -367,7 +368,7 @@ def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples
     )
 
 
-def evaluate(query_manifest, gallery_manifest, max_rank=10):
+def evaluate(query_manifest, gallery_manifest, max_rank=MAX_RANK):
     """Evaluate two manifests carrying precomputed features."""
     return evaluate_features(
         query_manifest.features(),

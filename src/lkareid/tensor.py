@@ -18,31 +18,32 @@ gradient changes.
 A closure saves no array that copying rebuilds from data the graph
 already holds: apart from GELU's CDF, sigmoid's output and small per-slice
 or index arrays, it keeps only its parents and views of their data.  A
-conv's tap columns, reordered or tiled weights and padded buffers are
-built again in its backward, byte for byte as the forward built them.  So
+conv's tap columns, reordered or tiled weights and conv1d's padded copy
+are built again in its backward, byte for byte as the forward built them.  So
 a backward reads its parents' and weights' data as they are when it runs:
 editing them in place between a forward and its backward is unsupported,
 as it always was for `mul` and `matmul`.
 
 Activations keep NCHW shapes but are channels-last in memory: `conv2d`
 returns an NCHW view (`.transpose(2, 3, 0, 1)`) of a C-contiguous
-(H, W, N, C) array, and its padding, tap columns, pooling and anti-pooling
-read and write that layout without transposing copies.  Elementwise ops
+(H, W, N, C) array, and its tap columns, pooling and anti-pooling read and
+write that layout without transposing copies.  Elementwise ops
 keep it through numpy's K order.  An op takes input in any layout and
 gives the same bits.  Two reductions add in memory order, and each runs on
 a C-ordered NCHW copy to pin its float32 sums: the conv bias gradient and
 the one-bin mean.  That keeps training bitwise reproducible across the
 layout change until the acceptance gate stops depending on float32 bits.
 
-`conv2d` has one path per conv kind: a dense convolution copies the
-kernel-tap slices of its channels-last padded input into columns with one
-strided copy (none for a 1x1 conv) and runs one GEMM over the whole batch;
-a depthwise one multiply-adds each tap's slice of the unpadded input into
-the outputs where that tap reads the input, and its weight gradient sums
-each tap's products over the same windows.  Both scatter input gradients
-the same way.  Taps over padding are skipped because their zero products
-would change no bit, so only the dense forward pads.  Other group counts
-are rejected.  The slow reference is `tests/oracles.conv2d_oracle`.
+Every `conv2d` reads its taps one way, and none pads: `_tap_windows` gives
+each kernel tap's window of the unpadded input and the outputs it reaches.
+A dense conv copies each window into its tap's columns of a zeroed buffer,
+leaving +0 where the tap reads padding (a 1x1 conv without padding takes
+its input as the columns), and runs one GEMM over the whole batch; a
+depthwise one multiply-adds each window into its outputs, skipping
+padding's +-0 products, and its weight gradient sums each tap's products
+over the same windows.  Both scatter input gradients through the windows.
+Other group counts are rejected.  The slow reference is
+`tests/oracles.conv2d_oracle`.
 
 Pooling adds each bin's window tap by tap in row-major order, the per-bin
 order of numpy's mean of a 2 x 2 window, with one slice or gather per tap
@@ -134,6 +135,8 @@ class Conv2dSpec:
             raise ValueError("stride must be >= 1")
         if min(self.dilation) < 1:
             raise ValueError("dilation must be >= 1")
+        if min(map(min, self.padding)) < 0:
+            raise ValueError(f"padding must be >= 0, got {self.padding}")
 
     def weight_shape(self):
         kh, kw = self.kernel
@@ -418,26 +421,18 @@ def l2_normalize(x, axis):
 # convolution
 
 
-def _pad_channels_last(x, spec):
-    """Zero-padded (H + pt + pb, W + pl + pr, N, C) channels-last view of
-    NCHW-shaped `x`: `x` itself without padding, else a C-contiguous copy."""
-    n, c, h, w = x.shape
-    (pt, pb), (pl, pr) = spec.padding
-    if pt == pb == pl == pr == 0:
-        return x.transpose(2, 3, 0, 1)
-    xp = np.zeros((h + pt + pb, w + pl + pr, n, c), dtype=x.dtype)
-    xp[pt : pt + h, pl : pl + w] = x.transpose(2, 3, 0, 1)
-    return xp
-
-
-def _tap_columns(xp, spec, oh, ow):
-    """A dense conv's GEMM input from padded channels-last `xp`, rows [oh][ow][n]
-    by columns [ky][kx][c]: one strided copy, none for a 1x1 channels-last conv."""
-    (sh, sw), (dh, dw) = spec.stride, spec.dilation
-    s0, s1, s2, s3 = xp.strides
-    shape = (oh, ow, xp.shape[2]) + spec.kernel + (xp.shape[3],)
-    cols = as_strided(xp, shape, (s0 * sh, s1 * sw, s2, s0 * dh, s1 * dw, s3))
-    return np.ascontiguousarray(cols).reshape(oh * ow * xp.shape[2], -1)
+def _tap_columns(x_cl, windows, oh, ow):
+    """A dense conv's GEMM input, rows [oh][ow][n] by columns [ky][kx][c]: each
+    tap's window of channels-last `x_cl` copied into a zeroed buffer, so +0
+    over padding.  A lone tap read at every output is `x_cl`, a view if it can be."""
+    n, c = x_cl.shape[2:]
+    (o, i), *rest = windows
+    if not rest and o == (slice(0, oh), slice(0, ow)):
+        return np.ascontiguousarray(x_cl[i]).reshape(oh * ow * n, c)
+    cols = np.zeros((oh, ow, n, len(windows), c), dtype=x_cl.dtype)
+    for t, (o, i) in enumerate(windows):
+        cols[o][..., t, :] = x_cl[i]
+    return cols.reshape(oh * ow * n, len(windows) * c)
 
 
 @lru_cache(maxsize=128)
@@ -460,13 +455,13 @@ def conv2d(x, weight, bias, spec):
     """2-d convolution over NCHW input, differentiable in x, weight, bias.
 
     The output is an NCHW view of a channels-last (oh, ow, N, O) array.
-    Two paths, chosen by `spec.groups`.  A dense conv (groups == 1) is one
-    GEMM over the whole batch: channels-last columns (oh*ow*N, kh*kw*C)
-    times the weight reordered to (O, kh*kw*C); its backward is one GEMM
-    for the weight gradient and one for the column gradient.  A depthwise
-    conv (one channel per group) multiply-adds the kh*kw shifted input
-    slices directly, each over the outputs where it reads the input, and
-    its weight gradient sums each tap's products over the same windows.
+    Both paths, chosen by `spec.groups`, read each tap's window of the
+    unpadded input.  A dense conv (groups == 1) is one GEMM over the whole
+    batch: channels-last columns (oh*ow*N, kh*kw*C) copied from those
+    windows times the weight reordered to (O, kh*kw*C); its backward is one
+    GEMM for the weight gradient and one for the column gradient.  A
+    depthwise conv (one channel per group) multiply-adds the windows
+    directly, and its weight gradient sums each tap's products over them.
     The closure keeps x and weight, not the columns or the reordered or
     tiled weights: the backward rebuilds those it needs with the forward's
     own code, at the cost of the forward's copies.
@@ -488,11 +483,12 @@ def conv2d(x, weight, bias, spec):
     oh, ow = spec.out_size(h, w)
     dense = spec.groups == 1
     windows = _tap_windows(spec, h, w, oh, ow)
+    x_cl = x.data.transpose(2, 3, 0, 1)
 
     # the forward's derived operands; the backward rebuilds each one it needs
     # from x and weight, so the graph holds no copy of them
     def _columns():
-        return _tap_columns(_pad_channels_last(x.data, spec), spec, oh, ow)
+        return _tap_columns(x_cl, windows, oh, ow)
 
     def _tap_weights():
         if dense:
@@ -504,7 +500,6 @@ def conv2d(x, weight, bias, spec):
     if dense:
         out_cl = (_columns() @ wt.T).reshape(oh, ow, n, spec.out_channels)
     else:
-        x_cl = x.data.transpose(2, 3, 0, 1)
         out_cl = np.zeros((oh, ow, n, c), dtype=np.result_type(x.data, wt))
         for t, (o, i) in enumerate(windows):
             out_cl[o] += x_cl[i] * wt[t]

@@ -72,6 +72,8 @@ class SyntheticDatasetSpec:
         for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.image_size < 2:  # a 1-pixel image leaves the identity pattern's patch no room
+            raise ValueError(f"image_size must be >= 2, got {self.image_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -291,6 +291,14 @@ def test_train_invalid_setting_exits_1_before_writing(capsys, tmp_path, setting)
     assert not out_dir.exists()
 
 
+def test_train_one_pixel_image_error_names_image_size(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--out", str(out_dir), "--set", "steps=1", "--set", "image_size=1")
+    assert code == 1 and out == ""
+    assert err == "error: image_size must be >= 2, got 1\n"
+    assert not out_dir.exists()
+
+
 # the default config.json, as measured before the defaults moved into the
 # config dataclasses
 DEFAULT_CONFIG_JSON = """{

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import lkareid.tensor as T
 from lkareid.tensor import Conv2dSpec, NumericsError, Tensor, gradient_check
@@ -204,7 +205,56 @@ def test_conv2d_bits_do_not_depend_on_input_layout(spec):
 def test_conv2d_1x1_columns_are_a_view_of_a_channels_last_input():
     spec = _LAYOUT_CONVS["pw-1x1"]
     x = _channels_last(np.random.default_rng(18).normal(size=(2, 8, 5, 5)).astype(np.float32))
-    assert np.shares_memory(T._tap_columns(T._pad_channels_last(x, spec), spec, 5, 5), x)
+    assert np.shares_memory(T._tap_columns(x.transpose(2, 3, 0, 1), T._tap_windows(spec, 5, 5, 5, 5), 5, 5), x)
+
+
+def _reference_columns(x, spec):
+    """im2col of NCHW x from a zero-padded copy: rows [oh][ow][n], columns
+    [ky][kx][c], as a dense conv's GEMM reads them."""
+    n, c, h, w = x.shape
+    oh, ow = spec.out_size(h, w)
+    (kh, kw), (sh, sw), (dh, dw) = spec.kernel, spec.stride, spec.dilation
+    xp = np.pad(x, ((0, 0), (0, 0)) + spec.padding)
+    win = sliding_window_view(xp, (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw, ::dh, ::dw][:, :, :oh, :ow]  # (N, C, oh, ow, kh, kw)
+    return win.transpose(2, 3, 0, 4, 5, 1).reshape(oh * ow * n, kh * kw * c)
+
+
+# (spec, input shape) of dense convs: the oracle table's dense rows, the
+# padding-only taps, the model's stem, trunk and pointwise shapes, and the
+# 1x1 convs whose one tap misses outputs or skips inputs
+_COLUMN_CASES = {
+    **{
+        name: (Conv2dSpec(cin, cout, (3, 3), stride=s, padding=p, dilation=d), (n, cin, h, w))
+        for name, (n, cin, cout, h, w, s, p, d, groups) in _ORACLE_CONFIGS.items()
+        if groups == 1
+    },
+    **{
+        f"padding-only-{name}": (Conv2dSpec(4, 4, (3, 3), stride=s, padding=p, dilation=d), (2, 4, e, e))
+        for name, (s, p, d, e) in _PADDING_ONLY_TAPS.items()
+    },
+    "model-stem.0": (Conv2dSpec(3, 16, (3, 3), stride=2, padding=1), (4, 3, 48, 48)),
+    "model-trunk": (Conv2dSpec(64, 64, (3, 3), padding=1), (4, 64, 6, 6)),
+    "model-pw": (Conv2dSpec(64, 64, (1, 1)), (4, 64, 6, 6)),
+    "1x1-padded": (Conv2dSpec(4, 4, (1, 1), padding=((1, 0), (0, 2))), (2, 4, 5, 5)),
+    "1x1-s2": (Conv2dSpec(4, 4, (1, 1), stride=2), (2, 4, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channels-last"])
+@pytest.mark.parametrize("case", _COLUMN_CASES.values(), ids=_COLUMN_CASES.keys())
+def test_dense_tap_columns_are_byte_equal_to_padded_im2col(case, layout):
+    """The columns are the only dense GEMM operand built from the taps, so
+    equal bytes here keep the GEMM's float32 bits whatever BLAS does."""
+    spec, shape = case
+    x = np.random.default_rng(19).normal(size=shape).astype(np.float32)
+    if layout == "channels-last":
+        x = _channels_last(x)
+    oh, ow = spec.out_size(*shape[2:])
+    cols = T._tap_columns(x.transpose(2, 3, 0, 1), T._tap_windows(spec, *shape[2:], oh, ow), oh, ow)
+    want = _reference_columns(x, spec)
+    assert cols.dtype == want.dtype and cols.shape == want.shape
+    assert cols.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ CASES = {
     "tensor/spec-kernel": (lambda: Conv2dSpec(1, 1, (0, 3)), "kernel extents must be >= 1"),
     "tensor/spec-stride": (lambda: Conv2dSpec(1, 1, (3, 3), stride=0), "stride must be >= 1"),
     "tensor/spec-dilation": (lambda: Conv2dSpec(1, 1, (3, 3), dilation=(1, 0)), "dilation must be >= 1"),
+    "tensor/spec-padding-int": (lambda: Conv2dSpec(2, 2, (3, 3), padding=-1), "padding must be >= 0"),
+    "tensor/spec-padding-pair": (lambda: Conv2dSpec(2, 2, (3, 3), padding=(1, -1)), "padding must be >= 0"),
+    "tensor/spec-padding-sides": (
+        lambda: Conv2dSpec(2, 2, (3, 3), padding=((0, 0), (-2, 1))), "padding must be >= 0, got ((0, 0), (-2, 1))",
+    ),
     "tensor/spec-out-size": (lambda: Conv2dSpec(1, 1, (5, 5)).out_size(3, 3), "conv output extent < 1"),
     "tensor/backward-no-grad": (lambda: T.backward(Tensor(np.ones(()))), "does not depend on any requires_grad"),
     "tensor/matmul-1d": (lambda: T.matmul(_ones(3), _ones(3, 2)), "matmul expects 2-d tensors"),
