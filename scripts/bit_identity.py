@@ -10,13 +10,15 @@ library in this checkout's ``src/``, then prints one sha256 per artifact:
     parameters  every parameter's name and float32 bytes, in model order
     checkpoint  the file ``save_checkpoint`` writes
     features    ``extract_features`` rows of the query, then the gallery
+    dataset     the ``SynthData`` it trains on: images, labels, cameras
+                and views, each array's dtype, shape and bytes
 
 ``--optimizer adam`` trains with Adam at lr 0.001 instead: at lr 0.03 Adam
 overflows the triplet distances before step 300.
 
 BLAS runs on one thread, so the hashes do not depend on how a
 multithreaded GEMM splits its sums.  Run it in two checkouts on one
-machine: a change that keeps every float32 bit prints the same four lines.
+machine: a change that keeps every float32 bit prints the same five lines.
 """
 from __future__ import annotations
 
@@ -61,11 +63,16 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
     for idx in (query_idx, gallery_idx):
         rows = extract_features(state, data.images[idx]).data
         features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+    dataset = hashlib.sha256()
+    for array in (data.images, data.labels, data.cameras, data.views):
+        dataset.update(f"{array.dtype.str} {array.shape}".encode("utf-8"))
+        dataset.update(np.ascontiguousarray(array).tobytes())
     return [
         ("records", hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()),
         ("parameters", params.hexdigest()),
         ("checkpoint", checkpoint.hexdigest()),
         ("features", features.hexdigest()),
+        ("dataset", dataset.hexdigest()),
     ]
 
 

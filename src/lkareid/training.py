@@ -69,7 +69,7 @@ class SyntheticDatasetSpec:
     seed: int = TrainConfig.seed
 
     def __post_init__(self):
-        for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
+        for name in ("num_identities", "images_per_identity", "num_cameras"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size < 2:  # a 1-pixel image leaves the identity pattern's patch no room
@@ -230,38 +230,40 @@ def _identity_pattern(spec, identity):
     return img
 
 
-def _camera_transform(img, camera, rng):
-    """Deterministic per-camera nuisance: brightness, shift, mild noise."""
+def _camera_transform(img, camera):
+    """Deterministic per-camera nuisance: shift and brightness."""
     shifts = [(0, 0), (2, -1), (-2, 1), (1, 2), (-1, -2), (2, 2)]
     dy, dx = shifts[camera % len(shifts)]
     brightness = (camera % 5 - 2) * 0.04
-    out = np.roll(img, (dy, dx), axis=(1, 2)) + brightness
-    out = out + rng.normal(0.0, 0.02, img.shape)
-    return np.clip(out, 0.0, 1.0)
+    return np.roll(img, (dy, dx), axis=(1, 2)) + brightness
 
 
 def synth_generate(spec):
-    """The full dataset, fully determined by ``SyntheticDatasetSpec.seed``."""
-    images, labels, cameras, views = [], [], [], []
+    """The full dataset, fully determined by ``SyntheticDatasetSpec.seed``.
+
+    Sample j of an identity is seen by camera j % num_cameras, in view
+    (j // num_cameras) % NUM_VIEWS (view 1 mirrored), with mild noise
+    from its own stream.  Memory: the (N, 3, S, S) float32 image array is
+    allocated once and each image is cast into its slot, so at its peak
+    this holds that array plus one image's float64 scratch.
+    """
+    per_identity = spec.images_per_identity
+    n, size = spec.num_identities * per_identity, spec.image_size
+    images = np.empty((n, 3, size, size), dtype=np.float32)
+    pos = np.arange(n)
+    j = pos % per_identity
+    cameras = j % spec.num_cameras
+    views = (j // spec.num_cameras) % NUM_VIEWS
     for identity in range(spec.num_identities):
         pattern = _identity_pattern(spec, identity)
-        for index in range(spec.images_per_identity):
-            camera = index % spec.num_cameras
-            view = (index // spec.num_cameras) % NUM_VIEWS
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 11, identity, index]))
-            img = _camera_transform(pattern, camera, rng)
-            if view == 1:
-                img = img[:, :, ::-1]
-            images.append(img.astype(np.float32))
-            labels.append(identity)
-            cameras.append(camera)
-            views.append(view)
-    return SynthData(
-        images=np.stack(images),
-        labels=np.array(labels),
-        cameras=np.array(cameras),
-        views=np.array(views),
-    )
+        for camera in range(min(spec.num_cameras, per_identity)):
+            seen = _camera_transform(pattern, camera)
+            for index in range(camera, per_identity, spec.num_cameras):
+                p = identity * per_identity + index
+                slot = images[p] if views[p] == 0 else images[p, :, :, ::-1]
+                rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 11, identity, index]))
+                slot[...] = np.clip(seen + rng.normal(0.0, 0.02, seen.shape), 0.0, 1.0)
+    return SynthData(images=images, labels=pos // per_identity, cameras=cameras, views=views)
 
 
 def split_query_gallery(data, spec):

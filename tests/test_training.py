@@ -24,7 +24,7 @@ from lkareid.training import (
     train_step,
 )
 
-from oracles import triplet_oracle
+from oracles import synth_generate_oracle, triplet_oracle
 
 
 def tiny_model():
@@ -189,6 +189,40 @@ def test_synth_deterministic():
     b = synth_generate(spec)
     np.testing.assert_array_equal(a.images, b.images)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"num_identities": 5, "images_per_identity": 3, "num_cameras": 6, "image_size": 20},
+        {"num_identities": 3, "images_per_identity": 9, "image_size": 2},
+        {"num_identities": 1, "images_per_identity": 7, "num_cameras": 3, "image_size": 16, "seed": 4},
+        {"num_identities": 2, "images_per_identity": 15, "num_cameras": 7, "image_size": 12},
+    ],
+    ids=["default", "more-cameras-than-images", "2x2", "one-identity", "every-shift"],
+)
+def test_synth_generate_matches_the_per_image_oracle(kwargs):
+    spec = SyntheticDatasetSpec(**kwargs)
+    data = synth_generate(spec)
+    for got, want in zip((data.images, data.labels, data.cameras, data.views), synth_generate_oracle(spec)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_synth_generate_peaks_at_its_images_plus_one_image_of_scratch():
+    """One float32 array of the dataset's size is allocated and filled in
+    place; a list of per-image copies stacked at the end peaks at about
+    twice that."""
+    spec = SyntheticDatasetSpec(num_identities=64, images_per_identity=8, image_size=48)
+    tracemalloc.start()
+    try:
+        data = synth_generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.images.flags.c_contiguous
+    assert peak <= data.images.nbytes + 2**20
 
 
 def test_synth_counts_and_balance():
@@ -467,9 +501,11 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
             TrainConfig(momentum=momentum)
     assert TrainConfig(lr=0.0, momentum=0.0, margin=0.0).lr == 0.0
-    for name in ("num_identities", "images_per_identity", "num_cameras", "image_size"):
+    for name in ("num_identities", "images_per_identity", "num_cameras"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SyntheticDatasetSpec(**{name: 0})
+    with pytest.raises(ValueError, match="image_size must be >= 2, got 0"):
+        SyntheticDatasetSpec(image_size=0)
     assert TrainConfig(steps=0).steps == 0
     assert TrainConfig().batch_size == 16  # default P=4, K=4
 
