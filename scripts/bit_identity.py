@@ -2,9 +2,9 @@
 
     python3 scripts/bit_identity.py --steps 300 --attention on --optimizer sgd
 
-Trains the acceptance suite's criterion-7 configuration (16 synthetic
-identities, 48x48 images, P = K = 4, SGD at lr 0.03, seed 0) with the
-library in this checkout's ``src/``, then prints one sha256 per artifact:
+Trains the acceptance suite's criterion-7 run, as ``tests/criterion7.py``
+defines it, with the library in this checkout's ``src/``, then prints one
+sha256 per artifact:
 
     records     the per-step loss records, as JSON
     parameters  every parameter's name and float32 bytes, in model order
@@ -13,8 +13,8 @@ library in this checkout's ``src/``, then prints one sha256 per artifact:
     dataset     the ``SynthData`` it trains on: images, labels, cameras
                 and views, each array's dtype, shape and bytes
 
-``--optimizer adam`` trains with Adam at lr 0.001 instead: at lr 0.03 Adam
-overflows the triplet distances before step 300.
+``--optimizer adam`` trains with Adam, at the learning rate that module
+gives it, instead of SGD.
 
 BLAS runs on one thread, so the hashes do not depend on how a
 multithreaded GEMM splits its sums.  Run it in two checkouts on one
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -32,23 +33,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-LR = {"sgd": 0.03, "adam": 0.001}
+CRITERION7 = ROOT / "tests" / "criterion7.py"
 
 
 def fingerprint(steps, attention_enabled, optimizer="sgd"):
     """(artifact, sha256 hex) pairs of one criterion-7 run."""
+    # imported here, not at the top: numpy loads only after main pins BLAS
     import numpy as np
 
-    from lkareid.model import ModelConfig, build_model, extract_features, save_checkpoint
-    from lkareid.training import SyntheticDatasetSpec, TrainConfig, fit, split_query_gallery, synth_generate
+    from lkareid.model import extract_features, save_checkpoint
+    from lkareid.training import fit
 
-    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
-    data = synth_generate(spec)
-    train_idx, query_idx, gallery_idx = split_query_gallery(data, spec)
-    state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
-    cfg = TrainConfig(
-        identities_per_batch=4, instances_per_identity=4, steps=steps, lr=LR[optimizer], seed=0, optimizer=optimizer
-    )
+    spec = importlib.util.spec_from_file_location("lkareid_criterion7", CRITERION7)
+    criterion7 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(criterion7)
+    data, (train_idx, query_idx, gallery_idx), state, cfg = criterion7.setup(attention_enabled, steps, optimizer)
     records = fit(state, data, cfg, sample_positions=train_idx)
 
     params = hashlib.sha256()

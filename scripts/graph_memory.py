@@ -2,8 +2,8 @@
 
     python3 scripts/graph_memory.py --attention on
 
-Runs one criterion-7 step's forward (16 synthetic identities, 48x48
-images, P = K = 4, seed 0) and its losses with ``training.step_losses``, as
+Runs one step's forward and losses of the criterion-7 run that
+``tests/criterion7.py`` defines, with ``training.step_losses`` as
 ``train_step`` does, from the library in this checkout's ``src/``, and prints:
 
     traced      the bytes tracemalloc sees allocated after the losses, and
@@ -22,12 +22,14 @@ checkouts compare directly: run the script in each.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CRITERION7 = ROOT / "tests" / "criterion7.py"
 
 
 def _owner(a):
@@ -98,30 +100,6 @@ def graph_bytes(loss):
     return by_op, by_var, leaves
 
 
-def criterion7_step(attention_enabled):
-    """A function that runs one step's forward and losses with
-    ``training.step_losses`` and returns the total loss."""
-    import numpy as np
-
-    from lkareid.model import ModelConfig, build_model
-    from lkareid.training import (
-        SyntheticDatasetSpec, TrainConfig, pk_batch, split_query_gallery, step_losses, synth_generate,
-    )
-
-    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
-    data = synth_generate(spec)
-    train_idx, _, _ = split_query_gallery(data, spec)
-    state = build_model(ModelConfig(num_identities=16, attention_enabled=attention_enabled), 0)
-    cfg = TrainConfig(identities_per_batch=4, instances_per_identity=4)
-    index = data.identity_index(train_idx)
-
-    def forward():
-        # the same picks on every call: the batch is drawn with a fresh generator
-        return step_losses(state, pk_batch(data, index, cfg, np.random.default_rng(0)), cfg)[0]
-
-    return forward
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--attention", choices=("on", "off"), default="on")
@@ -130,7 +108,10 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "src"))
     from lkareid.tensor import backward
 
-    forward = criterion7_step(args.attention == "on")
+    spec = importlib.util.spec_from_file_location("lkareid_criterion7", CRITERION7)
+    criterion7 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(criterion7)
+    forward = criterion7.step_forward(args.attention == "on")
     forward()  # first-call caches (tap windows, rank maps) are not the graph's
     tracemalloc.start()
     try:

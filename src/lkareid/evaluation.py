@@ -325,8 +325,8 @@ def _feature_rows(split, feats, samples):
 def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples, max_rank=MAX_RANK):
     """Full protocol over precomputed features; equal similarities rank
     in gallery order."""
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    if isinstance(max_rank, bool) or not isinstance(max_rank, (int, np.integer)) or max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1 (an integer), got {max_rank!r}")
     query_feats = _feature_rows("query", query_feats, query_samples)
     gallery_feats = _feature_rows("gallery", gallery_feats, gallery_samples)
     if query_feats.shape[1] != gallery_feats.shape[1]:
@@ -352,7 +352,7 @@ def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples
     if not first_hits:
         raise ValueError("all queries were skipped; nothing to evaluate")
     first_hits = np.asarray(first_hits)
-    max_rank = min(max_rank, len(gallery_samples))
+    max_rank = min(int(max_rank), len(gallery_samples))
     return EvalReport(
         map_score=float(np.mean(per_query_ap)),
         cmc=_cmc(first_hits, max_rank),

@@ -245,18 +245,28 @@ def _branch_embeddings(state, images):
     return {br: _run(state, layers, x) for br, layers in plan.branches}
 
 
+def _ids(kind, ids, batch, count):
+    """`ids` as an array, checked to hold one integer id in [0, count) per
+    image, whether or not the metadata tables use them."""
+    ids = np.asarray(ids)
+    if ids.shape != (batch,) or not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(
+            f"{kind}_ids must be a 1-d integer array with one id per image ({batch}), "
+            f"got {ids.dtype} of shape {ids.shape}"
+        )
+    if ids.min() < 0 or ids.max() >= count:
+        raise ValueError(f"{kind}_ids holds a {kind} id out of range [0, {count})")
+    return ids
+
+
 def forward_train(state, images, camera_ids, view_ids):
     """Training-mode forward: four BranchOutputs, logits on L1/H1 only."""
     cfg = state.config
     batch = images.shape[0]
     if batch < 2:
         raise ValueError("training forward requires batch size >= 2")
-    camera_ids = np.asarray(camera_ids)
-    view_ids = np.asarray(view_ids)
-    if camera_ids.size and camera_ids.max() >= cfg.num_cameras:
-        raise ValueError("camera id out of range")
-    if view_ids.size and view_ids.max() >= NUM_VIEWS:
-        raise ValueError("view id out of range")
+    camera_ids = _ids("camera", camera_ids, batch, cfg.num_cameras)
+    view_ids = _ids("view", view_ids, batch, NUM_VIEWS)
 
     plan = layer_plan(cfg)
     embeddings = _branch_embeddings(state, images)

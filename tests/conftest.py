@@ -1,11 +1,14 @@
-"""Shared test plumbing: the acceptance scorecard and checkpoint surgery.
+"""Shared test plumbing: the acceptance scorecard, checkpoint surgery and
+loading the repository's scripts.
 
 Acceptance tests record one verdict line each; the terminal-summary hook
 prints the full scorecard after capture ends so it always shows up in the
 run log.
 """
+import importlib.util
 import json
 import struct
+from pathlib import Path
 
 VERDICTS = []
 
@@ -18,6 +21,15 @@ def rewrite_config_snapshot(path, edit):
     edit(snapshot)
     raw = json.dumps(snapshot).encode("utf-8")
     path.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + cfg_len :])
+
+
+def load_script(name):
+    """scripts/<name>.py, loaded by path from the checkout."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"lkareid_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def record_verdict(number, name, ok):

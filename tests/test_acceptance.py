@@ -12,16 +12,10 @@ from lkareid.attention import init_params, lka_param_shapes, lka_forward
 from lkareid.evaluation import Sample, evaluate_features
 from lkareid.model import ModelConfig, build_model, extract_features, load_checkpoint, save_checkpoint
 from lkareid.tensor import Tensor
-from lkareid.training import (
-    SyntheticDatasetSpec,
-    TrainConfig,
-    fit,
-    pk_sample,
-    split_query_gallery,
-    synth_generate,
-)
+from lkareid.training import fit, pk_sample
 from lkareid.verify import run_gradcheck
 
+import criterion7
 from conftest import record_verdict
 from oracles import conv2d_oracle, retrieval_oracle
 
@@ -143,15 +137,8 @@ def test_criterion_6_evaluation_oracle():
 def test_criterion_7_toy_end_to_end():
     def run(attention_enabled):
         start = time.time()
-        spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
-        data = synth_generate(spec)
-        train_idx, query_idx, gallery_idx = split_query_gallery(data, spec)
-        model_cfg = ModelConfig(num_identities=16, attention_enabled=attention_enabled)
-        state = build_model(model_cfg, 0)
-        train_cfg = TrainConfig(
-            identities_per_batch=4, instances_per_identity=4, steps=300, lr=0.03, seed=0
-        )
-        fit(state, data, train_cfg, sample_positions=train_idx)
+        data, (train_idx, query_idx, gallery_idx), state, cfg = criterion7.setup(attention_enabled)
+        fit(state, data, cfg, sample_positions=train_idx)
         q_feats = extract_features(state, data.images[query_idx]).data
         g_feats = extract_features(state, data.images[gallery_idx]).data
         q = [Sample(int(data.labels[i]), int(data.cameras[i])) for i in query_idx]

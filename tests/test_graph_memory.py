@@ -1,24 +1,14 @@
 """scripts/graph_memory.py, loaded by path from the checkout, counts each
 buffer at the op that made it, whatever the operand order."""
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 from lkareid import tensor as T
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "graph_memory.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("lkareid_graph_memory", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_by_op_rows_do_not_depend_on_operand_order():
-    graph_bytes = _load_script().graph_bytes
+    graph_bytes = load_script("graph_memory").graph_bytes
     rows = []
     for swap in (False, True):
         x = T.Tensor(np.ones((4, 4)), requires_grad=True)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lkareid.model import ModelConfig, build_model, forward_train
+from lkareid.model import ModelConfig, build_model
 from lkareid.tensor import Tensor, backward, gradient_check
 from lkareid.training import (
     Optimizer,
@@ -24,6 +24,7 @@ from lkareid.training import (
     train_step,
 )
 
+import criterion7
 from oracles import synth_generate_oracle, triplet_oracle
 
 
@@ -305,17 +306,13 @@ def test_identity_index_of_positions():
 # train_step / fit
 
 
-def _tiny_batch(data, rng, p=2, k=4):
-    picks = pk_sample(data.identity_index(), p, k, rng)
-    return (data.images[picks], data.labels[picks], data.cameras[picks], data.views[picks])
-
-
 def test_train_step_zero_lr_keeps_state():
     data = synth_generate(SyntheticDatasetSpec())
     state = tiny_model()
     before = {n: p.data.copy() for n, p in state.params.items()}
     cfg = TrainConfig(identities_per_batch=2, instances_per_identity=4, lr=0.0, momentum=0.0)
-    train_step(state, _tiny_batch(data, np.random.default_rng(0)), cfg, Optimizer(state.params, cfg))
+    batch = pk_batch(data, data.identity_index(), cfg, np.random.default_rng(0))
+    train_step(state, batch, cfg, Optimizer(state.params, cfg))
     for name, p in state.params.items():
         np.testing.assert_array_equal(p.data, before[name])
 
@@ -324,7 +321,8 @@ def test_train_loss_components_finite_at_init():
     data = synth_generate(SyntheticDatasetSpec())
     state = tiny_model()
     cfg = TrainConfig(identities_per_batch=2, instances_per_identity=4, lr=0.0)
-    _, comp = train_step(state, _tiny_batch(data, np.random.default_rng(1)), cfg, Optimizer(state.params, cfg))
+    batch = pk_batch(data, data.identity_index(), cfg, np.random.default_rng(1))
+    _, comp = train_step(state, batch, cfg, Optimizer(state.params, cfg))
     assert set(comp) == {"total", "ce_l1", "ce_h1", "tri_l2", "tri_h2"}
     assert all(np.isfinite(v) for v in comp.values())
     assert comp["total"] == pytest.approx(
@@ -344,7 +342,7 @@ def test_single_batch_overfit_halves_loss():
     data = synth_generate(SyntheticDatasetSpec())
     state = tiny_model()
     cfg = TrainConfig(identities_per_batch=2, instances_per_identity=4, lr=0.03, steps=100)
-    batch = _tiny_batch(data, np.random.default_rng(0))
+    batch = pk_batch(data, data.identity_index(), cfg, np.random.default_rng(0))
     opt = Optimizer(state.params, cfg)
     first = last = None
     for _ in range(100):
@@ -355,23 +353,13 @@ def test_single_batch_overfit_halves_loss():
 
 
 def test_backward_peak_memory_stays_near_the_forward_footprint():
-    # criterion 7's step: P = K = 4, 48x48 images, attention on.  Backward
-    # frees each node's gradient and saved arrays once used, so its traced
-    # peak stays close to what the forward holds.
-    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
-    data = synth_generate(spec)
-    train_idx, _, _ = split_query_gallery(data, spec)
-    state = build_model(ModelConfig(num_identities=16, attention_enabled=True), 0)
-    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
-    labels = data.labels[picks]
+    # criterion 7's step, attention on.  Backward frees each node's gradient
+    # and saved arrays once used, so its traced peak stays close to what the
+    # forward holds.
+    forward = criterion7.step_forward(attention_enabled=True)
     tracemalloc.start()
     try:
-        outputs = forward_train(state, Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
-        by_branch = {o.branch: o for o in outputs}
-        total = cross_entropy_loss(by_branch["l1"].logits, labels, 0.1)
-        total = total + cross_entropy_loss(by_branch["h1"].logits, labels, 0.1)
-        total = total + batch_hard_triplet_loss(by_branch["l2"].embedding, labels, 0.3)
-        total = total + batch_hard_triplet_loss(by_branch["h2"].embedding, labels, 0.3)
+        total = forward()
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         backward(total)
@@ -386,20 +374,10 @@ def test_training_forward_holds_under_30_mb():
     # GELU's CDF, which would take an erf to rebuild; a conv's tap columns,
     # reordered weights and padded buffers are rebuilt in its backward.
     # Keeping the dense convs' columns alone would add 18.9 MB.
-    spec = SyntheticDatasetSpec(num_identities=16, images_per_identity=8, num_cameras=4, seed=0)
-    data = synth_generate(spec)
-    train_idx, _, _ = split_query_gallery(data, spec)
-    state = build_model(ModelConfig(num_identities=16, attention_enabled=True), 0)
-    picks = pk_sample(data.identity_index(train_idx), 4, 4, np.random.default_rng(0))
-    labels = data.labels[picks]
+    forward = criterion7.step_forward(attention_enabled=True)
     tracemalloc.start()
     try:
-        outputs = forward_train(state, Tensor(data.images[picks]), data.cameras[picks], data.views[picks])
-        by_branch = {o.branch: o for o in outputs}
-        total = cross_entropy_loss(by_branch["l1"].logits, labels, 0.1)
-        total = total + cross_entropy_loss(by_branch["h1"].logits, labels, 0.1)
-        total = total + batch_hard_triplet_loss(by_branch["l2"].embedding, labels, 0.3)
-        total = total + batch_hard_triplet_loss(by_branch["h2"].embedding, labels, 0.3)
+        total = forward()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,7 +391,7 @@ def test_adam_optimizer_also_learns():
     cfg = TrainConfig(
         identities_per_batch=2, instances_per_identity=4, lr=0.002, steps=40, optimizer="adam"
     )
-    batch = _tiny_batch(data, np.random.default_rng(0))
+    batch = pk_batch(data, data.identity_index(), cfg, np.random.default_rng(0))
     opt = Optimizer(state.params, cfg)
     first = last = None
     for _ in range(cfg.steps):

@@ -7,6 +7,7 @@ import pytest
 
 from lkareid import tensor as T
 from lkareid.attention import HcaConfig, LkaConfig, count_params_flops, hca_forward
+from lkareid.evaluation import Sample, evaluate_features
 from lkareid.model import ModelConfig, build_model, forward_train, model_params_flops
 from lkareid.tensor import Conv2dSpec, Tensor
 from lkareid.training import batch_hard_triplet_loss, cross_entropy_loss
@@ -22,8 +23,19 @@ def _conv(x_shape, weight_shape=(2, 1, 3, 3), bias_shape=(2,)):
     return T.conv2d(_ones(*x_shape), _ones(*weight_shape), _ones(*bias_shape), spec)
 
 
-def _tiny_state():
-    return build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0)
+def _tiny_state(**overrides):
+    return build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2, **overrides), 0)
+
+
+def _forward_train(camera_ids, view_ids, metadata=False):
+    """forward_train on two images of the tiny model (4 cameras)."""
+    state = _tiny_state(metadata_embeddings_enabled=metadata)
+    return forward_train(state, np.zeros((2, 3, 16, 16), np.float32), camera_ids, view_ids)
+
+
+def _evaluate(max_rank):
+    feats = np.eye(2)
+    return evaluate_features(feats, [Sample(0, 0), Sample(1, 0)], feats, [Sample(0, 1), Sample(1, 1)], max_rank)
 
 
 # "group/check": (call, message fragment); every call raises ValueError
@@ -66,15 +78,23 @@ CASES = {
         lambda: batch_hard_triplet_loss(_ones(4), np.array([0, 0, 1, 1])), "embeddings must be (B, D)",
     ),
     "losses/triplet-labels": (lambda: batch_hard_triplet_loss(_ones(4, 2), np.array([0, 1])), "labels must be (B,)"),
-    "model/view-id": (
-        lambda: forward_train(_tiny_state(), np.zeros((2, 3, 16, 16), np.float32), [0, 0], [0, 2]),
-        "view id out of range",
-    ),
+    "model/view-id": (lambda: _forward_train([0, 0], [0, 2]), "view id out of range"),
     "model/cost-channels": (
         lambda: model_params_flops(_tiny_state().config, (1, 1, 16, 16)), "model input must have 3 channels",
     ),
     "verify/gradcheck-scope": (lambda: run_gradcheck("nope", 0), "unknown gradcheck scope 'nope'"),
 }
+# ids that are checked whether or not the metadata tables read them
+for meta, metadata in (("off", False), ("on", True)):
+    for label, bad in (("negative", [-1, 0]), ("float", [0.5, 1]), ("2d", [[0], [1]]), ("one-for-two", [0])):
+        CASES[f"model/camera-ids-{label}-metadata-{meta}"] = (
+            lambda bad=bad, metadata=metadata: _forward_train(bad, [0, 0], metadata), "camera_ids",
+        )
+        CASES[f"model/view-ids-{label}-metadata-{meta}"] = (
+            lambda bad=bad, metadata=metadata: _forward_train([0, 0], bad, metadata), "view_ids",
+        )
+for label, bad in (("float", 2.5), ("str", "3"), ("none", None), ("bool", True)):
+    CASES[f"evaluation/max-rank-{label}"] = (lambda bad=bad: _evaluate(bad), "max_rank must be >= 1")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -82,3 +102,8 @@ def test_bad_argument_raises_value_error_naming_it(case):
     call, fragment = CASES[case]
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
+
+
+def test_max_rank_may_be_a_numpy_integer():
+    report = _evaluate(np.int64(1))
+    assert report.protocol["max_rank"] == 1 and type(report.protocol["max_rank"]) is int
