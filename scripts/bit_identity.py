@@ -12,13 +12,15 @@ sha256 per artifact:
     features    ``extract_features`` rows of the query, then the gallery
     dataset     the ``SynthData`` it trains on: images, labels, cameras
                 and views, each array's dtype, shape and bytes
+    report      ``evaluate_features(...).to_json()`` on those query and
+                gallery rows, with each sample's identity and camera
 
 ``--optimizer adam`` trains with Adam, at the learning rate that module
 gives it, instead of SGD.
 
 BLAS runs on one thread, so the hashes do not depend on how a
 multithreaded GEMM splits its sums.  Run it in two checkouts on one
-machine: a change that keeps every float32 bit prints the same five lines.
+machine: a change that keeps every float32 bit prints the same six lines.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
     # imported here, not at the top: numpy loads only after main pins BLAS
     import numpy as np
 
+    from lkareid.evaluation import Sample, evaluate_features
     from lkareid.model import extract_features, save_checkpoint
     from lkareid.training import fit
 
@@ -59,9 +62,12 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
         save_checkpoint(state, path)
         checkpoint = hashlib.sha256(path.read_bytes())
     features = hashlib.sha256()
+    evaluated = []  # (rows, samples) of the query, then the gallery
     for idx in (query_idx, gallery_idx):
         rows = extract_features(state, data.images[idx]).data
         features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+        evaluated += [rows, [Sample(int(data.labels[i]), int(data.cameras[i])) for i in idx]]
+    report = evaluate_features(*evaluated).to_json()
     dataset = hashlib.sha256()
     for array in (data.images, data.labels, data.cameras, data.views):
         dataset.update(f"{array.dtype.str} {array.shape}".encode("utf-8"))
@@ -72,6 +78,7 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
         ("checkpoint", checkpoint.hexdigest()),
         ("features", features.hexdigest()),
         ("dataset", dataset.hexdigest()),
+        ("report", hashlib.sha256(report.encode("utf-8")).hexdigest()),
     ]
 
 

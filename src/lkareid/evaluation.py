@@ -12,20 +12,28 @@ Cosine similarity divides each row by its L2 norm.  A row whose squared
 norm over- or underflows a double (computed norm inf, or 0 with a nonzero
 entry) is divided by its max |value| first; an all-zero row is an error.
 The gallery is normalized once; the queries are ranked QUERY_BLOCK rows at
-a time against it, so no query x gallery matrix is ever held.
+a time against it, so no query x gallery matrix is ever held.  An index
+from identity to gallery positions gives each query its positives and
+junk without a pass over the whole gallery; a positive's rank is counted
+among the valid entries at or above the lowest positive, sorted.  The tie
+and junk rules are the same as a full stable sort's.
 
 A manifest line is one RFC 8259 JSON text, decoded by orjson: NaN,
 Infinity, numbers that overflow a double and lone surrogate escapes are
-invalid JSON.  A manifest feature is a flat list of JSON numbers.  Each is
-converted and checked once, as its line is read, into the manifest's
-float64 feature matrix, which grows as lines arrive, so the file is read
-once and may be a pipe; any malformed line, undecodable bytes included,
-raises ManifestError with its line number.
+invalid JSON.  orjson reads each line's raw bytes; only a line it rejects
+is decoded and stripped of whitespace, so a line that str.strip() empties
+is skipped and a record wrapped in other Unicode whitespace still loads.
+A manifest feature is a flat list of JSON numbers.  Each is converted and
+checked once, as its line is read, into the manifest's float64 feature
+matrix, which grows as lines arrive, so the file is read once and may be
+a pipe; any malformed line, undecodable bytes included, raises
+ManifestError with its line number.
 """
 from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,18 +137,33 @@ def parse_veri_name(name):
 
 
 def _feature_row(feature, dim):
-    """A finite row of JSON numbers, dim long if dim is given."""
-    row = np.asarray(feature)
-    if row.ndim != 1:
-        raise ValueError("feature must be a flat vector")
-    # numpy reads JSON true/false among numbers as 1/0, so look for them where a value is 0 or 1
-    if row.dtype.kind not in "iuf" or ((row == row.astype(bool)).any() and bool in map(type, feature)):
-        raise ValueError("feature values must be JSON numbers")
-    if dim is not None and row.size != dim:
-        raise ValueError(f"feature dim {row.size} != {dim}")
+    """A finite float64 row of the JSON numbers in a flat list, dim long
+    if dim is given."""
+    row = None
+    if type(feature) is list:  # a str or a dict would unpack to its characters or keys
+        try:
+            # struct packs ints and floats, bools as 1/0, and rejects other values and lengths
+            row = np.frombuffer(struct.pack(f"{len(feature) if dim is None else dim}d", *feature))
+        except struct.error:
+            pass
+    # look for JSON true/false only where a value is 0 or 1
+    if row is None or ((row == row.astype(bool)).any() and bool in map(type, feature)):
+        _reject(feature, dim)
     if not np.isfinite(row).all():
         raise ValueError("sample feature contains non-finite values")
     return row
+
+
+def _reject(feature, dim):
+    """Raise why a feature is not a flat list of dim JSON numbers, in the
+    order of the checks: flat (a ragged list raises numpy's own
+    ValueError), numbers, then length."""
+    row = np.asarray(feature)
+    if row.ndim != 1:
+        raise ValueError("feature must be a flat vector")
+    if row.dtype.kind not in "iuf" or bool in map(type, feature):
+        raise ValueError("feature values must be JSON numbers")
+    raise ValueError(f"feature dim {row.size} != {dim}")
 
 
 class _FeatureRows:
@@ -200,16 +223,24 @@ def load_manifest(path, split="gallery"):
     float64 matrix, in one pass, when every record has one.  Any defect in
     a line raises ManifestError naming the file and line."""
     samples, rows, seen_paths = [], _FeatureRows(), set()
-    with open(path, "rb") as fh:
+    # a 512-d feature line is about 5 KB, so the default 8 KB buffer would
+    # take nearly one read call per line
+    with open(path, "rb", buffering=1 << 16) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                if line.count("[") + line.count("{") > MAX_BRACKETS:
+                if raw.count(b"[") + raw.count(b"{") > MAX_BRACKETS:
+                    raw.decode("utf-8")  # undecodable bytes are reported first
                     raise ValueError(f"more than {MAX_BRACKETS} '[' and '{{' in one line")
-                samples.append(_parse_record(orjson.loads(line), seen_paths, rows))
-            except (ValueError, TypeError) as exc:
+                try:
+                    record = orjson.loads(raw)
+                except orjson.JSONDecodeError:
+                    # orjson takes JSON whitespace around a text; str.strip() takes any whitespace
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = orjson.loads(line)
+                samples.append(_parse_record(record, seen_paths, rows))
+            except (ValueError, TypeError, OverflowError) as exc:
                 reason = f"invalid JSON ({exc.msg})" if isinstance(exc, orjson.JSONDecodeError) else exc
                 raise ManifestError(f"{path}:{lineno}: {reason}") from exc
     if not samples:
@@ -253,30 +284,40 @@ def _id_arrays(samples):
     )
 
 
-def _junk(vehicle_id, camera_id, gallery_ids, gallery_cams):
-    """The junk rule: gallery entries sharing both identity and camera."""
-    return (gallery_ids == vehicle_id) & (gallery_cams == camera_id)
-
-
 def apply_protocol_filter(query, gallery):
     """Valid mask over the gallery: same-id same-camera entries are junk."""
-    return ~_junk(query.vehicle_id, query.camera_id, *_id_arrays(gallery))
+    gallery_ids, gallery_cams = _id_arrays(gallery)
+    return ~((gallery_ids == query.vehicle_id) & (gallery_cams == query.camera_id))
 
 
-def _positive_ranks(sims, valid, positives):
-    """Ascending 0-based ranks of the positives among the valid entries.
+def _identity_index(gallery_ids):
+    """Each gallery identity's positions, ascending, keyed by identity."""
+    order = np.argsort(gallery_ids, kind="stable")
+    ids, starts = np.unique(gallery_ids[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
+def _positive_ranks(sims, positives, junk, rivals, ranked):
+    """Ascending 0-based ranks of the positives among the entries that are
+    not junk; rivals (bool) and ranked (float64), as long as sims, are
+    scratch space.
 
     A positive's rank is the number of valid entries with a larger
     similarity, plus the equal ones earlier in gallery order: its place in
-    a stable sort by descending similarity.
+    a stable sort by descending similarity.  Only the valid entries at or
+    above the lowest positive are sorted; no other entry can precede one.
     """
-    ranked = np.sort(sims[valid])
     x = sims[positives]
+    np.greater_equal(sims, x.min(), out=rivals)
+    rivals[junk] = False
+    ranked = ranked[: np.count_nonzero(rivals)]
+    np.compress(rivals, sims, out=ranked)
+    ranked.sort()
     above = np.searchsorted(ranked, x, side="right")
     ranks = ranked.size - above
     for i in np.flatnonzero(above - np.searchsorted(ranked, x, side="left") > 1):
         p = positives[i]
-        ranks[i] += np.count_nonzero(sims[:p][valid[:p]] == x[i])
+        ranks[i] += np.count_nonzero(sims[:p][rivals[:p]] == x[i])
     return np.sort(ranks)
 
 
@@ -334,24 +375,33 @@ def evaluate_features(query_feats, query_samples, gallery_feats, gallery_samples
     gallery_t = _unit_rows(gallery_feats).T
     query_unit = _unit_rows(query_feats)
     gallery_ids, gallery_cams = _id_arrays(gallery_samples)
-    per_query_ap = []
-    first_hits = []
+    same_identity = _identity_index(gallery_ids)
+    # the results are sized before the buffers and the loop allocates nothing
+    # gallery-sized, so no result grows into the heap above freed buffers
+    per_query_ap = np.empty(len(query_samples))
+    first_hits = np.empty(len(query_samples), dtype=np.int64)
+    scored = 0
     # one block buffer, so no two blocks of similarities are ever held at once
     sims = np.empty((min(QUERY_BLOCK, len(query_unit)), len(gallery_samples)))
+    rivals, ranked = np.empty(len(gallery_samples), dtype=bool), np.empty(len(gallery_samples))
     for start in range(0, len(query_unit), QUERY_BLOCK):
         block = query_unit[start : start + QUERY_BLOCK]
         np.matmul(block, gallery_t, out=sims[: len(block)])
         for row, query in zip(sims, query_samples[start : start + QUERY_BLOCK]):
-            valid = ~_junk(query.vehicle_id, query.camera_id, gallery_ids, gallery_cams)
-            positives = np.flatnonzero(valid & (gallery_ids == query.vehicle_id))
+            same = same_identity.get(query.vehicle_id)
+            if same is None:
+                continue
+            junk = gallery_cams[same] == query.camera_id
+            positives = same[~junk]
             if positives.size == 0:
                 continue
-            ranks = _positive_ranks(row, valid, positives)
-            per_query_ap.append(_ap(ranks))
-            first_hits.append(ranks[0] + 1)
-    if not first_hits:
+            ranks = _positive_ranks(row, positives, same[junk], rivals, ranked)
+            per_query_ap[scored] = _ap(ranks)
+            first_hits[scored] = ranks[0] + 1
+            scored += 1
+    if not scored:
         raise ValueError("all queries were skipped; nothing to evaluate")
-    first_hits = np.asarray(first_hits)
+    per_query_ap, first_hits = per_query_ap[:scored].tolist(), first_hits[:scored]
     max_rank = min(int(max_rank), len(gallery_samples))
     return EvalReport(
         map_score=float(np.mean(per_query_ap)),

@@ -182,6 +182,27 @@ def test_load_manifest_rejects_malformed_features(tmp_path, case):
         load_manifest(path, split="query")
 
 
+@pytest.mark.parametrize("feature, message", [
+    ("{}", "feature must be a flat vector"),
+    ('""', "feature must be a flat vector"),
+    ("[[0.5, 0.5]]", "feature must be a flat vector"),
+    ("[[0.5], [0.5, 0.5]]", "inhomogeneous shape"),
+    ("[0.5, {}]", "feature values must be JSON numbers"),
+    ("[0.5, false, 0.5]", "feature values must be JSON numbers"),
+    ("[0.5, 0.5, 0.5]", "feature dim 3 != 2"),
+], ids=["empty_object", "empty_string", "nested", "ragged", "object_value", "bool_before_dim", "wrong_dim"])
+def test_malformed_feature_messages(tmp_path, feature, message):
+    # the first row sets the dim, so line 1 tests the checks without one
+    path = tmp_path / "m.jsonl"
+    path.write_text(f'{{"feature": {feature}, "vehicle_id": 2, "camera_id": 1}}\n')
+    if "dim" not in message:
+        with pytest.raises(ManifestError, match=f":1: .*{message}"):
+            load_manifest(path, split="query")
+    path.write_text(f'{_GOOD_LINE}\n{{"feature": {feature}, "vehicle_id": 2, "camera_id": 1}}\n')
+    with pytest.raises(ManifestError, match=f":2: .*{message}"):
+        load_manifest(path, split="query")
+
+
 @pytest.mark.parametrize("line", [
     b'{"path": "\xff.npy", "vehicle_id": 2, "camera_id": 1}',
     b"[" * 100000,
@@ -258,6 +279,37 @@ def test_load_manifest_caps_brackets_per_line(tmp_path):
     assert len(load_manifest(path, split="query").samples) == 2
     path.write_text(f"{_GOOD_LINE}\n{record(MAX_BRACKETS + 1)}\n")
     with pytest.raises(ManifestError, match=f":2: more than {MAX_BRACKETS} "):
+        load_manifest(path, split="query")
+    # a line both over the cap and not UTF-8 is reported as undecodable
+    path.write_bytes(b"[" * (MAX_BRACKETS + 1) + b"\xff\n")
+    with pytest.raises(ManifestError, match=":1: 'utf-8' codec can't decode"):
+        load_manifest(path, split="query")
+
+
+# lines that str.strip() empties, none of them JSON whitespace alone
+_BLANK_LINES = ["\u00a0", "\u0085", "\x1c", "\t\t", "\r", " \u00a0\t\x1c\u0085 "]
+
+
+def test_load_manifest_skips_unicode_whitespace_lines(tmp_path):
+    records = [
+        "\u00a0" + _GOOD_LINE,
+        _GOOD_LINE.replace('"vehicle_id": 1', '"vehicle_id": 2') + "\u00a0",
+        "\u00a0 " + _GOOD_LINE.replace('"vehicle_id": 1', '"vehicle_id": 3') + "\t\u00a0\r",
+    ]
+    lines = [_BLANK_LINES[0], records[0], *_BLANK_LINES, records[1], _BLANK_LINES[2], records[2], _BLANK_LINES[4]]
+    path = tmp_path / "m.jsonl"
+    path.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+    man = load_manifest(path, split="query")
+    assert [s.vehicle_id for s in man.samples] == [1, 2, 3]
+    assert man.features().tolist() == [[0.5, 0.5]] * 3
+
+
+@pytest.mark.parametrize("blank", _BLANK_LINES, ids=["nbsp", "nel", "fs", "tabs", "cr", "mixed"])
+def test_manifest_error_line_counts_blank_lines(tmp_path, blank):
+    bad = '{"feature": [0.5, true], "vehicle_id": 2, "camera_id": 1}'
+    path = tmp_path / "m.jsonl"
+    path.write_bytes("\n".join([blank, _GOOD_LINE, blank, blank, "\u00a0" + bad]).encode("utf-8") + b"\n")
+    with pytest.raises(ManifestError, match=":5: feature values must be JSON numbers$"):
         load_manifest(path, split="query")
 
 
@@ -587,6 +639,74 @@ def test_streamed_ranking_matches_oracle(n_queries):
     for qi, ap in zip(scored, report.per_query_ap):
         want_ap, _, _ = retrieval_oracle(q_feats[qi:qi + 1], q_meta[qi:qi + 1], g_feats, g_meta, max_rank=15)
         assert abs(ap - want_ap) <= 1e-12
+
+
+def _assert_matches_oracle_per_query(q_feats, q_meta, g_feats, g_meta):
+    """The skip count, and every scored query's AP and first-hit rank, as
+    retrieval_oracle gives them."""
+    report = evaluate_features(q_feats, _samples(q_meta), g_feats, _samples(g_meta), max_rank=len(g_meta))
+    assert report.skipped_queries == retrieval_oracle(q_feats, q_meta, g_feats, g_meta)[2]
+    want_aps, want_hits = [], []
+    for qi, (vid, cam) in enumerate(q_meta):
+        if any(g_vid == vid and g_cam != cam for g_vid, g_cam in g_meta):
+            ap, cmc, _ = retrieval_oracle(q_feats[qi:qi + 1], q_meta[qi:qi + 1], g_feats, g_meta, max_rank=len(g_meta))
+            want_aps.append(ap)
+            want_hits.append(len(g_meta) + 1 - round(sum(cmc)))
+    np.testing.assert_allclose(report.per_query_ap, want_aps, rtol=0, atol=1e-12)
+    assert report.first_hit_ranks.tolist() == want_hits
+    return report
+
+
+@pytest.mark.parametrize("distractor, want_first_hit", [(False, 1), (True, 2)])
+def test_junk_tied_with_a_positive_and_earlier_is_not_counted(distractor, want_first_hit):
+    # cosines to the query are exactly 1 or 0: each positive ties with junk
+    # earlier in gallery order, and the last one with an earlier distractor too
+    g_rows = [([3.0, 0.0], (0, 0))]  # junk
+    if distractor:
+        g_rows.append(([1.0, 0.0], (5, 1)))
+    g_rows += [
+        ([2.0, 0.0], (0, 1)), ([1.0, 0.0], (0, 0)),  # positive, junk
+        ([0.0, 2.0], (0, 0)), ([0.0, 3.0], (6, 1)), ([0.0, 1.0], (0, 2)),  # junk, distractor, positive
+    ]
+    g_feats = np.array([row for row, _ in g_rows])
+    report = _assert_matches_oracle_per_query(np.array([[1.0, 0.0]]), [(0, 0)], g_feats, [meta for _, meta in g_rows])
+    assert report.first_hit_ranks.tolist() == [want_first_hit]
+    assert report.per_query_ap == [(1 / want_first_hit + 2 / (want_first_hit + 2)) / 2]
+
+
+def test_junk_above_and_below_every_positive():
+    # (angle from the query in degrees, (vehicle_id, camera_id)), in a shuffled gallery order
+    entries = [
+        (0, (0, 0)), (10, (0, 0)), (20, (1, 1)), (40, (0, 1)), (55, (2, 0)),
+        (70, (0, 2)), (100, (1, 2)), (150, (0, 0)), (179, (0, 0)),
+    ]
+    order = np.random.default_rng(5).permutation(len(entries))
+    angles = np.radians([entries[i][0] for i in order])
+    g_feats = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    report = _assert_matches_oracle_per_query(np.array([[1.0, 0.0]]), [(0, 0)], g_feats, [entries[i][1] for i in order])
+    # valid entries rank 20, 40, 55, 70, 100 degrees: positives at ranks 2 and 4
+    assert report.first_hit_ranks.tolist() == [2]
+    assert report.per_query_ap == [(1 / 2 + 2 / 4) / 2]
+
+
+def test_queries_without_a_valid_positive_are_skipped():
+    g_meta = [(0, 1), (4, 1), (0, 2), (4, 1), (6, 0)]
+    g_feats = np.random.default_rng(8).normal(size=(5, 3))
+    # identity 9 is absent from the gallery; identity 4's entries are all junk for (4, 1)
+    q_meta = [(9, 0), (0, 0), (4, 1), (6, 1)]
+    q_feats = np.random.default_rng(9).normal(size=(4, 3))
+    report = _assert_matches_oracle_per_query(q_feats, q_meta, g_feats, g_meta)
+    assert report.skipped_queries == 2 and len(report.per_query_ap) == 2
+
+
+def test_ranking_with_unsorted_noncontiguous_gallery_identities():
+    rng = np.random.default_rng(12)
+    ids = np.array([1000, 7, 42, 3, 19])
+    g_meta = [(int(v), int(c)) for v, c in zip(rng.choice(ids, 60), rng.integers(0, 4, 60))]
+    q_meta = [(int(v), int(c)) for v, c in zip(rng.choice(np.append(ids, 8), 30), rng.integers(0, 4, 30))]
+    q_feats, g_feats = rng.normal(size=(30, 6)), rng.normal(size=(60, 6))
+    report = _assert_matches_oracle_per_query(q_feats, q_meta, g_feats, g_meta)
+    assert report.skipped_queries > 0 and len(report.per_query_ap) > 20
 
 
 def test_zero_norm_query_in_last_block_raises_before_ranking(monkeypatch):
