@@ -12,8 +12,10 @@ sha256 per artifact:
     features    ``extract_features`` rows of the query, then the gallery
     dataset     the ``SynthData`` it trains on: images, labels, cameras
                 and views, each array's dtype, shape and bytes
-    report      ``evaluate_features(...).to_json()`` on those query and
-                gallery rows, with each sample's identity and camera
+    report      ``evaluate(...).to_json()`` on those query and gallery
+                rows, written with each sample's identity and camera as
+                two JSON-lines manifests and read back by ``load_manifest``,
+                as ``lkareid eval`` reads them
 
 ``--optimizer adam`` trains with Adam, at the learning rate that module
 gives it, instead of SGD.
@@ -43,7 +45,7 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
     # imported here, not at the top: numpy loads only after main pins BLAS
     import numpy as np
 
-    from lkareid.evaluation import Sample, evaluate_features
+    from lkareid.evaluation import evaluate, load_manifest
     from lkareid.model import extract_features, save_checkpoint
     from lkareid.training import fit
 
@@ -57,17 +59,22 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
     for name, p in state.params.items():
         params.update(name.encode("utf-8"))
         params.update(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    features = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.lkar"
         save_checkpoint(state, path)
         checkpoint = hashlib.sha256(path.read_bytes())
-    features = hashlib.sha256()
-    evaluated = []  # (rows, samples) of the query, then the gallery
-    for idx in (query_idx, gallery_idx):
-        rows = extract_features(state, data.images[idx]).data
-        features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-        evaluated += [rows, [Sample(int(data.labels[i]), int(data.cameras[i])) for i in idx]]
-    report = evaluate_features(*evaluated).to_json()
+        manifests = []
+        for split, idx in (("query", query_idx), ("gallery", gallery_idx)):
+            rows = extract_features(state, data.images[idx]).data
+            features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+            path = Path(tmp) / f"{split}.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                for row, i in zip(rows, idx):
+                    record = {"feature": row.tolist(), "vehicle_id": int(data.labels[i]), "camera_id": int(data.cameras[i])}
+                    fh.write(json.dumps(record) + "\n")
+            manifests.append(load_manifest(path, split))
+    report = evaluate(*manifests).to_json()
     dataset = hashlib.sha256()
     for array in (data.images, data.labels, data.cameras, data.views):
         dataset.update(f"{array.dtype.str} {array.shape}".encode("utf-8"))

@@ -207,15 +207,19 @@ def _load_image(path):
 
 
 def _model_features(state, samples):
-    """Features of the samples' .npy images, loaded 32 at a time."""
+    """Features of the samples' .npy images, loaded 32 at a time; each
+    image must have the shape of the first."""
     batch = 32
     feats, shape = [], None
     for start in range(0, len(samples), batch):
-        images = np.stack([_load_image(s.path) for s in samples[start : start + batch]])
-        if feats and images.shape[1:] != shape:
-            raise ValueError(f"images of shapes {shape} and {images.shape[1:]} in one manifest")
-        shape = images.shape[1:]
-        feats.append(extract_features(state, images.astype(np.float32)).data)
+        images = []
+        for s in samples[start : start + batch]:
+            image = _load_image(s.path)
+            shape = image.shape if shape is None else shape
+            if image.shape != shape:
+                raise ValueError(f"{s.path}: image of shape {image.shape}, but the manifest's first image has shape {shape}")
+            images.append(image)
+        feats.append(extract_features(state, np.stack(images).astype(np.float32)).data)
     return np.concatenate(feats, axis=0)
 
 

@@ -23,11 +23,11 @@ Infinity, numbers that overflow a double and lone surrogate escapes are
 invalid JSON.  orjson reads each line's raw bytes; only a line it rejects
 is decoded and stripped of whitespace, so a line that str.strip() empties
 is skipped and a record wrapped in other Unicode whitespace still loads.
-A manifest feature is a flat list of JSON numbers.  Each is converted and
-checked once, as its line is read, into the manifest's float64 feature
-matrix, which grows as lines arrive, so the file is read once and may be
-a pipe; any malformed line, undecodable bytes included, raises
-ManifestError with its line number.
+A manifest feature is a non-empty flat list of JSON numbers.  Each is
+converted and checked once, as its line is read, and its float64 bytes
+are appended to one bytearray, which the manifest's feature matrix then
+views, so the file is read once and may be a pipe; any malformed line,
+undecodable bytes included, raises ManifestError with its line number.
 """
 from __future__ import annotations
 
@@ -137,13 +137,14 @@ def parse_veri_name(name):
 
 
 def _feature_row(feature, dim):
-    """A finite float64 row of the JSON numbers in a flat list, dim long
-    if dim is given."""
+    """The float64 bytes of a non-empty flat list of finite JSON numbers,
+    dim long if dim is given."""
     row = None
-    if type(feature) is list:  # a str or a dict would unpack to its characters or keys
+    if type(feature) is list and feature:  # a str or a dict would unpack to its characters or keys
         try:
             # struct packs ints and floats, bools as 1/0, and rejects other values and lengths
-            row = np.frombuffer(struct.pack(f"{len(feature) if dim is None else dim}d", *feature))
+            packed = struct.pack(f"{len(feature) if dim is None else dim}d", *feature)
+            row = np.frombuffer(packed)
         except struct.error:
             pass
     # look for JSON true/false only where a value is 0 or 1
@@ -151,44 +152,25 @@ def _feature_row(feature, dim):
         _reject(feature, dim)
     if not np.isfinite(row).all():
         raise ValueError("sample feature contains non-finite values")
-    return row
+    return packed
 
 
 def _reject(feature, dim):
     """Raise why a feature is not a flat list of dim JSON numbers, in the
     order of the checks: flat (a ragged list raises numpy's own
-    ValueError), numbers, then length."""
+    ValueError), numbers, not empty, then length."""
     row = np.asarray(feature)
     if row.ndim != 1:
         raise ValueError("feature must be a flat vector")
     if row.dtype.kind not in "iuf" or bool in map(type, feature):
         raise ValueError("feature values must be JSON numbers")
+    if not row.size:
+        raise ValueError("feature must not be empty")
     raise ValueError(f"feature dim {row.size} != {dim}")
 
 
-class _FeatureRows:
-    """Checked feature rows written into one float64 matrix that doubles
-    its capacity when full, so no row is held twice and the rows need not
-    be counted before they are read."""
-
-    def __init__(self):
-        self.matrix = None
-        self.count = 0
-
-    def append(self, feature):
-        row = _feature_row(feature, None if self.matrix is None else self.matrix.shape[1])
-        if self.matrix is None:
-            self.matrix = np.empty((64, row.size), dtype=np.float64)
-        elif self.count == len(self.matrix):
-            grown = np.empty((2 * self.count, row.size), dtype=np.float64)
-            grown[: self.count] = self.matrix
-            self.matrix = grown
-        self.matrix[self.count] = row
-        self.count += 1
-
-
-def _parse_record(record, seen_paths, rows):
-    """The Sample of one decoded record; its feature row goes to rows."""
+def _parse_record(record, seen_paths):
+    """The Sample and the feature (None if absent) of one decoded record."""
     if not isinstance(record, dict):
         raise ValueError("record must be a JSON object")
     rec_path = record.get("path")
@@ -207,10 +189,7 @@ def _parse_record(record, seen_paths, rows):
         raise ValueError("a record without a path needs vehicle_id and camera_id")
     else:
         vid, cam = parse_veri_name(rec_path)
-    sample = Sample(vid, cam, record.get("view_id"), rec_path)
-    if feature is not None:
-        rows.append(feature)
-    return sample
+    return Sample(vid, cam, record.get("view_id"), rec_path), feature
 
 
 def load_manifest(path, split="gallery"):
@@ -219,10 +198,11 @@ def load_manifest(path, split="gallery"):
     from a VeRi-style filename.  Each line is RFC 8259 JSON with at most
     MAX_BRACKETS '[' and '{' in all, a cap that keeps the decoder from
     recursing deep enough to crash.  Ids must be non-negative JSON integers
-    (view_id may also be null).  Features are stacked into the manifest's
-    float64 matrix, in one pass, when every record has one.  Any defect in
-    a line raises ManifestError naming the file and line."""
-    samples, rows, seen_paths = [], _FeatureRows(), set()
+    (view_id may also be null).  Each feature's float64 bytes are appended
+    to one bytearray as its line is read; when every record has a feature,
+    the manifest's matrix is a view of that buffer.  Any defect in a line
+    raises ManifestError naming the file and line."""
+    samples, rows, seen_paths, dim = [], bytearray(), set(), None
     # a 512-d feature line is about 5 KB, so the default 8 KB buffer would
     # take nearly one read call per line
     with open(path, "rb", buffering=1 << 16) as fh:
@@ -239,14 +219,19 @@ def load_manifest(path, split="gallery"):
                     if not line:
                         continue
                     record = orjson.loads(line)
-                samples.append(_parse_record(record, seen_paths, rows))
+                sample, feature = _parse_record(record, seen_paths)
+                if feature is not None:
+                    rows += _feature_row(feature, dim)
+                    dim = len(feature)
+                samples.append(sample)
             except (ValueError, TypeError, OverflowError) as exc:
                 reason = f"invalid JSON ({exc.msg})" if isinstance(exc, orjson.JSONDecodeError) else exc
                 raise ManifestError(f"{path}:{lineno}: {reason}") from exc
     if not samples:
         raise ManifestError(f"{path}: manifest is empty")
-    matrix = rows.matrix[: rows.count] if rows.count == len(samples) else None
-    return Manifest(split, samples, matrix)
+    if dim is None or len(rows) != 8 * dim * len(samples):
+        return Manifest(split, samples)
+    return Manifest(split, samples, np.frombuffer(rows).reshape(len(samples), dim))
 
 
 def _unit_rows(feats):

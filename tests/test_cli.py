@@ -642,8 +642,13 @@ def test_eval_with_checkpoint(capsys, tmp_path):
     assert 0.0 <= doc["mAP"] <= 1.0
 
 
+def _eval_model():
+    """The small model the eval-checkpoint tests run on 3x16x16 images."""
+    return build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0)
+
+
 def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
-    state = build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0)
+    state = _eval_model()
     state.params["stem.0.weight"].data[0, 0, 0, 0] = np.nan
     ckpt = tmp_path / "m.lkar"
     save_checkpoint(state, ckpt)
@@ -660,7 +665,7 @@ def test_eval_checkpoint_with_nan_weight_exits_1(capsys, tmp_path):
 
 def test_eval_checkpoint_with_nan_pixel_exits_1(capsys, tmp_path):
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     pixels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16, 16)).astype(np.float32)
     pixels[1, 2, 3] = np.nan
     image = tmp_path / "a.npy"
@@ -698,7 +703,7 @@ def _write_bad_image(path, kind):
 @pytest.mark.parametrize("kind", ["empty", "structured", "complex", "datetime", "object", "truncated", "npz"])
 def test_eval_checkpoint_with_bad_image_file_exits_1(capsys, tmp_path, kind):
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     image = tmp_path / "bad.npy"
     _write_bad_image(image, kind)
     manifest = tmp_path / "m.jsonl"
@@ -714,7 +719,7 @@ def test_eval_checkpoint_with_bad_image_file_exits_1(capsys, tmp_path, kind):
 def test_eval_checkpoint_checks_every_path_before_loading_images(capsys, tmp_path):
     """A gallery path that is not .npy fails before any query image is loaded."""
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     image = tmp_path / "bad.npy"
     _write_bad_image(image, "empty")
     query, gallery = tmp_path / "q.jsonl", tmp_path / "g.jsonl"
@@ -729,7 +734,7 @@ def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
     """A freshly built model maps a uniform image to a zero feature row,
     which cannot be L2-normalized: a numerical failure."""
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     image = tmp_path / "a.npy"
     np.save(image, np.full((3, 16, 16), 0.5, dtype=np.float32))
     manifest = tmp_path / "m.jsonl"
@@ -742,25 +747,41 @@ def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
     assert err == "numerical failure: l2_normalize: zero-norm slice\n"
 
 
-def test_eval_checkpoint_images_of_two_shapes_exit_1(capsys, tmp_path):
-    """Images load one batch of 32 at a time; a shape change in a later
-    batch is still rejected, as it is within one batch."""
+def _eval_images(capsys, tmp_path, shapes):
+    """`lkareid eval --checkpoint` on one manifest, as query and gallery, of
+    random images of the given shapes; (exit code, stderr)."""
     ckpt = tmp_path / "m.lkar"
-    cfg = ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2)
-    save_checkpoint(build_model(cfg, 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     rng = np.random.default_rng(0)
     records = []
-    for i in range(33):
+    for i, shape in enumerate(shapes):
         image = tmp_path / f"{i}.npy"
-        np.save(image, rng.uniform(0.0, 1.0, (3, 20 if i == 32 else 16, 16)).astype(np.float32))
+        np.save(image, rng.uniform(0.0, 1.0, shape).astype(np.float32))
         records.append({"path": str(image), "vehicle_id": i % 3, "camera_id": i % 2})
     manifest = tmp_path / "m.jsonl"
     manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, _, err = run_cli(
         capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
     )
+    return code, err
+
+
+def test_eval_checkpoint_images_of_two_shapes_exit_1(capsys, tmp_path):
+    """Images load one batch of 32 at a time; a shape change in a later
+    batch is still rejected, as it is within one batch."""
+    code, err = _eval_images(capsys, tmp_path, [(3, 16, 16)] * 32 + [(3, 20, 16)])
     assert code == 1
     assert "shape" in err and "Traceback" not in err
+    assert f"{tmp_path / '32.npy'}:" in err
+
+
+def test_eval_checkpoint_images_of_two_shapes_in_one_batch_exit_1(capsys, tmp_path):
+    code, err = _eval_images(capsys, tmp_path, [(3, 16, 16), (3, 20, 20)])
+    assert code == 1
+    assert err == (
+        f"error: {tmp_path / '1.npy'}: image of shape (3, 20, 20), "
+        "but the manifest's first image has shape (3, 16, 16)\n"
+    )
 
 
 def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):
@@ -804,7 +825,7 @@ def test_eval_bad_record_names_file_line_and_problem(capsys, tmp_path, line, pro
 
 def test_eval_checkpoint_config_snapshot_not_an_object_exits_1(capsys, tmp_path):
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     blob = ckpt.read_bytes()
     (cfg_len,) = struct.unpack("<I", blob[6:10])
     ckpt.write_bytes(blob[:6] + struct.pack("<I", 3) + b"[1]" + blob[10 + cfg_len :])
@@ -819,7 +840,7 @@ def test_eval_checkpoint_config_snapshot_not_an_object_exits_1(capsys, tmp_path)
 
 def test_eval_checkpoint_with_one_channel_images_exits_1(capsys, tmp_path):
     ckpt = tmp_path / "m.lkar"
-    save_checkpoint(build_model(ModelConfig(num_identities=4, stem_widths=(4,), feature_dim=8, hca_local_grid=2), 0), ckpt)
+    save_checkpoint(_eval_model(), ckpt)
     image = tmp_path / "gray.npy"
     np.save(image, np.random.default_rng(0).uniform(0.0, 1.0, (1, 16, 16)).astype(np.float32))
     manifest = tmp_path / "m.jsonl"

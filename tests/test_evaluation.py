@@ -190,7 +190,8 @@ def test_load_manifest_rejects_malformed_features(tmp_path, case):
     ("[0.5, {}]", "feature values must be JSON numbers"),
     ("[0.5, false, 0.5]", "feature values must be JSON numbers"),
     ("[0.5, 0.5, 0.5]", "feature dim 3 != 2"),
-], ids=["empty_object", "empty_string", "nested", "ragged", "object_value", "bool_before_dim", "wrong_dim"])
+    ("[]", "feature must not be empty"),
+], ids=["empty_object", "empty_string", "nested", "ragged", "object_value", "bool_before_dim", "wrong_dim", "empty_list"])
 def test_malformed_feature_messages(tmp_path, feature, message):
     # the first row sets the dim, so line 1 tests the checks without one
     path = tmp_path / "m.jsonl"
@@ -338,7 +339,7 @@ def test_manifest_features_need_a_feature_on_every_record(tmp_path):
 
 
 def test_manifest_rows_load_bitwise_into_one_contiguous_matrix(tmp_path):
-    # 1000 rows outgrow the matrix's first capacity several times
+    # 1000 rows make the buffer grow, and move, many times as they are appended
     rng = np.random.default_rng(7)
     rows = rng.normal(scale=1e3, size=(1000, 3)).tolist()
     rows[5] = [-0.0, 0.0, 1e-310]
