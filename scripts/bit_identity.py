@@ -68,12 +68,12 @@ def fingerprint(steps, attention_enabled, optimizer="sgd"):
         for split, idx in (("query", query_idx), ("gallery", gallery_idx)):
             rows = extract_features(state, data.images[idx]).data
             features.update(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-            path = Path(tmp) / f"{split}.jsonl"
-            with open(path, "w", encoding="utf-8") as fh:
+            manifest = Path(tmp) / f"{split}.jsonl"
+            with open(manifest, "w", encoding="utf-8") as fh:
                 for row, i in zip(rows, idx):
                     record = {"feature": row.tolist(), "vehicle_id": int(data.labels[i]), "camera_id": int(data.cameras[i])}
                     fh.write(json.dumps(record) + "\n")
-            manifests.append(load_manifest(path, split))
+            manifests.append(load_manifest(manifest, split))
     report = evaluate(*manifests).to_json()
     dataset = hashlib.sha256()
     for array in (data.images, data.labels, data.cameras, data.views):
