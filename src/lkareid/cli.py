@@ -195,7 +195,9 @@ def cmd_train(args):
 
 
 def _load_image(path):
-    """The array of real numbers in a .npy image file; anything else is a ValueError naming the file."""
+    """The image in a .npy file as float32: a (3, H, W) array of real
+    numbers, finite once cast; anything else is a ValueError naming the
+    file."""
     try:
         with open(path, "rb") as f:
             image = np.load(f)
@@ -203,24 +205,30 @@ def _load_image(path):
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
         raise ValueError(f"{path}: expected an array of real numbers, got {getattr(image, 'dtype', 'an .npz archive')}")
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise ValueError(f"{path}: image of shape {image.shape}, expected (3, H, W)")
+    image = image.astype(np.float32, copy=False)
+    if not np.isfinite(image).all():
+        raise ValueError(f"{path}: image has non-finite pixel values")
     return image
 
 
-def _model_features(state, samples):
-    """Features of the samples' .npy images, loaded 32 at a time; each
-    image must have the shape of the first."""
+def _model_features(state, samples, shape=None, first="the manifest's first image"):
+    """Features of the samples' .npy images, loaded 32 at a time, and the
+    shape every image must have: `shape`, which `first` names, or the
+    first sample's."""
     batch = 32
-    feats, shape = [], None
+    feats = []
     for start in range(0, len(samples), batch):
         images = []
         for s in samples[start : start + batch]:
             image = _load_image(s.path)
             shape = image.shape if shape is None else shape
             if image.shape != shape:
-                raise ValueError(f"{s.path}: image of shape {image.shape}, but the manifest's first image has shape {shape}")
+                raise ValueError(f"{s.path}: image of shape {image.shape}, but {first} has shape {shape}")
             images.append(image)
-        feats.append(extract_features(state, np.stack(images).astype(np.float32)).data)
-    return np.concatenate(feats, axis=0)
+        feats.append(extract_features(state, np.stack(images)).data)
+    return np.concatenate(feats, axis=0), shape
 
 
 def cmd_eval(args):
@@ -231,7 +239,8 @@ def cmd_eval(args):
             if s.path is None or not s.path.endswith(".npy"):
                 raise ValueError(f"model evaluation needs a .npy image path, got {s.path!r}")
         state = load_checkpoint(args.checkpoint)
-        query_feats, gallery_feats = (_model_features(state, m.samples) for m in (query, gallery))
+        query_feats, shape = _model_features(state, query.samples)
+        gallery_feats, _ = _model_features(state, gallery.samples, shape, "the query manifest's first image")
     else:
         query_feats, gallery_feats = query.features(), gallery.features()
     report = evaluate_features(query_feats, query.samples, gallery_feats, gallery.samples, max_rank=args.max_rank)

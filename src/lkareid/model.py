@@ -62,14 +62,11 @@ class ModelConfig:
     attention_enabled: bool = True
 
     def __post_init__(self):
-        if self.num_identities < 1:
-            raise ValueError("num_identities must be >= 1")
+        for name in ("num_identities", "feature_dim", "blocks_per_branch", "num_cameras"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.stem_widths or any(wd < 1 for wd in self.stem_widths):
             raise ValueError(f"invalid stem widths {self.stem_widths}")
-        if self.feature_dim < 1 or self.blocks_per_branch < 1:
-            raise ValueError("feature_dim and blocks_per_branch must be >= 1")
-        if self.num_cameras < 1:
-            raise ValueError("num_cameras must be >= 1")
         object.__setattr__(self, "stem_widths", tuple(int(wd) for wd in self.stem_widths))
         self.lka_config()  # validates the attention settings
         self.hca_config()

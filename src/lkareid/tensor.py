@@ -195,12 +195,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the real work is in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
 
 def _wrap(x, dtype):
     if isinstance(x, Tensor):

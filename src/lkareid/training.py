@@ -33,7 +33,6 @@ class TrainConfig:
     optimizer: str = "sgd"  # "sgd" (momentum) or "adam"
     steps: int = 400
     seed: int = 0
-    label_smoothing: float = 0.0
     grad_clip_norm: float = 5.0  # 0 disables clipping
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ValueError("P must be >= 2 (the triplet loss needs two identities) and K >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
         for name in ("lr", "momentum", "margin", "grad_clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -54,10 +51,6 @@ class TrainConfig:
         for name in ("steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def batch_size(self):
-        return self.identities_per_batch * self.instances_per_identity
 
 
 @dataclass
@@ -98,7 +91,7 @@ class SynthData:
 # losses
 
 
-def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothing):
+def cross_entropy_loss(logits, labels):
     """Mean negative log-softmax at the true class, max-stabilized."""
     z = logits.data
     if z.ndim != 2:
@@ -114,16 +107,11 @@ def cross_entropy_loss(logits, labels, label_smoothing=TrainConfig.label_smoothi
     lse = np.log(np.exp(zs).sum(axis=1, keepdims=True))
     logp = zs - lse
     nll = -logp[np.arange(batch), labels]
-    if label_smoothing:
-        nll = (1.0 - label_smoothing) * nll + label_smoothing * (-logp.mean(axis=1))
 
     def _bw(g):
-        target = np.zeros_like(z)
-        target[np.arange(batch), labels] = 1.0 - label_smoothing
-        if label_smoothing:
-            target += label_smoothing / n_cls
-        softmax = np.exp(logp)
-        T._accum(logits, float(g) * (softmax - target) / batch)
+        dz = np.exp(logp)  # softmax, minus the one-hot target below
+        dz[np.arange(batch), labels] -= 1.0
+        T._accum(logits, float(g) * dz / batch)
 
     return T._node(np.asarray(nll.mean()), [logits], "cross_entropy", _bw)
 
@@ -354,7 +342,7 @@ def step_losses(state, batch, cfg):
     losses = {}
     for o in sorted(outputs, key=lambda o: o.logits is None):
         if o.logits is not None:
-            losses[f"ce_{o.branch}"] = cross_entropy_loss(o.logits, labels, cfg.label_smoothing)
+            losses[f"ce_{o.branch}"] = cross_entropy_loss(o.logits, labels)
         else:
             losses[f"tri_{o.branch}"] = batch_hard_triplet_loss(o.embedding, labels, cfg.margin)
     return functools.reduce(T.add, losses.values()), losses

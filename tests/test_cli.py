@@ -282,6 +282,7 @@ def test_train_rejected_config_writes_no_config_json(capsys, tmp_path):
     # the HCA grid of 9 exceeds the 8x8 branch map, and a grid of 2 the 1x1
     # map of 2x2 images
     "p=1", "p=5", "num_identities=1", "hca_local_grid=9", "image_size=2",
+    "feature_dim=0", "blocks_per_branch=0",
 ])
 def test_train_invalid_setting_exits_1_before_writing(capsys, tmp_path, setting):
     out_dir = tmp_path / "run"
@@ -310,7 +311,6 @@ DEFAULT_CONFIG_JSON = """{
   "image_size": 48,
   "images_per_identity": 8,
   "k": 4,
-  "label_smoothing": 0.0,
   "lka_dilation": 2,
   "lka_kernel": 7,
   "lr": 0.01,
@@ -676,7 +676,7 @@ def test_eval_checkpoint_with_nan_pixel_exits_1(capsys, tmp_path):
         capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
     )
     assert code == 1
-    assert out == "" and err == "error: images have non-finite pixel values\n"
+    assert out == "" and err == f"error: {image}: image has non-finite pixel values\n"
 
 
 def _write_bad_image(path, kind):
@@ -747,21 +747,28 @@ def test_eval_checkpoint_zero_feature_row_exits_2(capsys, tmp_path):
     assert err == "numerical failure: l2_normalize: zero-norm slice\n"
 
 
-def _eval_images(capsys, tmp_path, shapes):
-    """`lkareid eval --checkpoint` on one manifest, as query and gallery, of
-    random images of the given shapes; (exit code, stderr)."""
+def _eval_images(capsys, tmp_path, shapes, gallery_shapes=None):
+    """`lkareid eval --checkpoint` on a query manifest of random images of
+    the given shapes, against a gallery manifest of random images of
+    `gallery_shapes`, or against itself; (exit code, stderr)."""
     ckpt = tmp_path / "m.lkar"
     save_checkpoint(_eval_model(), ckpt)
     rng = np.random.default_rng(0)
-    records = []
-    for i, shape in enumerate(shapes):
-        image = tmp_path / f"{i}.npy"
-        np.save(image, rng.uniform(0.0, 1.0, shape).astype(np.float32))
-        records.append({"path": str(image), "vehicle_id": i % 3, "camera_id": i % 2})
-    manifest = tmp_path / "m.jsonl"
-    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def manifest(tag, image_shapes):
+        records = []
+        for i, shape in enumerate(image_shapes):
+            image = tmp_path / f"{tag}{i}.npy"
+            np.save(image, rng.uniform(0.0, 1.0, shape).astype(np.float32))
+            records.append({"path": str(image), "vehicle_id": i % 3, "camera_id": i % 2})
+        path = tmp_path / f"{tag}m.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    query = manifest("", shapes)
+    gallery = manifest("g", gallery_shapes) if gallery_shapes else query
     code, _, err = run_cli(
-        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+        capsys, "eval", "--query", str(query), "--gallery", str(gallery), "--checkpoint", str(ckpt),
     )
     return code, err
 
@@ -782,6 +789,21 @@ def test_eval_checkpoint_images_of_two_shapes_in_one_batch_exit_1(capsys, tmp_pa
         f"error: {tmp_path / '1.npy'}: image of shape (3, 20, 20), "
         "but the manifest's first image has shape (3, 16, 16)\n"
     )
+
+
+def test_eval_checkpoint_gallery_images_must_have_the_query_shape(capsys, tmp_path):
+    code, err = _eval_images(capsys, tmp_path, [(3, 16, 16)] * 4, [(3, 24, 24)] * 4)
+    assert code == 1
+    assert err == (
+        f"error: {tmp_path / 'g0.npy'}: image of shape (3, 24, 24), "
+        "but the query manifest's first image has shape (3, 16, 16)\n"
+    )
+
+
+def test_eval_checkpoint_with_two_dimensional_image_exits_1(capsys, tmp_path):
+    code, err = _eval_images(capsys, tmp_path, [(16, 16)])
+    assert code == 1
+    assert err == f"error: {tmp_path / '0.npy'}: image of shape (16, 16), expected (3, H, W)\n"
 
 
 def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):
@@ -849,4 +871,4 @@ def test_eval_checkpoint_with_one_channel_images_exits_1(capsys, tmp_path):
         capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
     )
     assert code == 1 and out == ""
-    assert err == "error: images must be (B, 3, H, W)\n"
+    assert err == f"error: {image}: image of shape (1, 16, 16), expected (3, H, W)\n"

@@ -602,6 +602,12 @@ def test_pool_bounds_errors():
 # pointwise ops and broadcasting
 
 
+def test_tensor_casts_non_float_input_to_float64():
+    for data in ([1, 2], np.array([1, 2], dtype=np.int32), np.array([True]), np.float16(0.5)):
+        assert Tensor(data).dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+
+
 def test_pointwise_fixed_points():
     assert T.gelu(Tensor(np.array(0.0))).data == 0.0
     assert T.sigmoid(Tensor(np.array(0.0))).data == 0.5

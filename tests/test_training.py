@@ -465,8 +465,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
-        TrainConfig(label_smoothing=1.5)
-    with pytest.raises(ValueError):
         TrainConfig(steps=-1)
     for name in ("lr", "momentum", "margin", "grad_clip_norm"):
         for value in (math.nan, math.inf, -math.inf):
@@ -485,7 +483,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="image_size must be >= 2, got 0"):
         SyntheticDatasetSpec(image_size=0)
     assert TrainConfig(steps=0).steps == 0
-    assert TrainConfig().batch_size == 16  # default P=4, K=4
 
 
 @pytest.mark.parametrize("config", [TrainConfig, SyntheticDatasetSpec])

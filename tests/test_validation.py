@@ -7,8 +7,8 @@ import pytest
 
 from lkareid import tensor as T
 from lkareid.attention import HcaConfig, LkaConfig, count_params_flops, hca_forward
-from lkareid.evaluation import Sample, evaluate_features
-from lkareid.model import ModelConfig, build_model, forward_train, model_params_flops
+from lkareid.evaluation import Manifest, Sample, evaluate_features
+from lkareid.model import ModelConfig, build_model, extract_features, forward_train, model_params_flops
 from lkareid.tensor import Conv2dSpec, Tensor
 from lkareid.training import batch_hard_triplet_loss, cross_entropy_loss
 from lkareid.verify import run_gradcheck
@@ -70,6 +70,8 @@ CASES = {
     "attention/hca-forward": (
         lambda: hca_forward(_ones(1, 4, 6, 6), {}, HcaConfig(8)), "input has 4 channels, config wants 8",
     ),
+    "attention/lka-channels": (lambda: LkaConfig(0), "channels must be >= 1"),
+    "attention/hca-channels": (lambda: HcaConfig(0), "channels must be >= 1"),
     "attention/lka-cost": (lambda: count_params_flops(LkaConfig(8), (1, 4, 8, 8)), "input_shape channels do not"),
     "attention/hca-cost": (lambda: count_params_flops(HcaConfig(8), (1, 4, 8, 8)), "input_shape channels do not"),
     "losses/ce-logits-1d": (lambda: cross_entropy_loss(_ones(3), np.zeros(3, dtype=int)), "logits must be (B, N)"),
@@ -78,10 +80,17 @@ CASES = {
         lambda: batch_hard_triplet_loss(_ones(4), np.array([0, 0, 1, 1])), "embeddings must be (B, D)",
     ),
     "losses/triplet-labels": (lambda: batch_hard_triplet_loss(_ones(4, 2), np.array([0, 1])), "labels must be (B,)"),
+    "model/feature-dim": (lambda: ModelConfig(4, feature_dim=0), "feature_dim must be >= 1, got 0"),
+    "model/blocks-per-branch": (lambda: ModelConfig(4, blocks_per_branch=0), "blocks_per_branch must be >= 1, got 0"),
+    "model/images-one-channel": (
+        lambda: extract_features(_tiny_state(), np.zeros((1, 1, 16, 16), np.float32)), "images must be (B, 3, H, W)",
+    ),
     "model/view-id": (lambda: _forward_train([0, 0], [0, 2]), "view id out of range"),
     "model/cost-channels": (
         lambda: model_params_flops(_tiny_state().config, (1, 1, 16, 16)), "model input must have 3 channels",
     ),
+    "evaluation/manifest-split": (lambda: Manifest("probe", [Sample(0, 0)]), "unknown split 'probe'"),
+    "evaluation/manifest-empty": (lambda: Manifest("query", []), "manifest must not be empty"),
     "verify/gradcheck-scope": (lambda: run_gradcheck("nope", 0), "unknown gradcheck scope 'nope'"),
 }
 # ids that are checked whether or not the metadata tables read them
