@@ -32,7 +32,7 @@ class LkaConfig:
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
         if not 1 <= self.dilation <= self.kernel:
@@ -77,7 +77,7 @@ class HcaConfig:
 
     def __post_init__(self):
         if self.local_grid < 1:
-            raise ValueError("local_grid must be >= 1")
+            raise ValueError(f"local_grid must be >= 1, got {self.local_grid}")
         eca_kernel_size(self.channels)  # checks channels
 
     @property
@@ -95,7 +95,7 @@ def eca_kernel_size(channels):
     log2(C)/ECA_GAMMA + ECA_B/ECA_GAMMA truncated toward zero, bumped up by
     one when even.  At gamma = b = 2 it is never wider than 2C - 1."""
     if channels < 1:
-        raise ValueError("channels must be >= 1")
+        raise ValueError(f"channels must be >= 1, got {channels}")
     k = int(math.log2(channels) / ECA_GAMMA + ECA_B / ECA_GAMMA)
     return k + 1 if k % 2 == 0 else k
 
@@ -222,7 +222,7 @@ def hca_forward(x, params, cfg):
 
 def param_count(shapes):
     """Total element count of (name, shape, init) parameter entries."""
-    return sum(int(np.prod(s)) for _, s, _ in shapes)
+    return sum(math.prod(s) for _, s, _ in shapes)
 
 
 def lka_params_flops(cfg, input_shape):

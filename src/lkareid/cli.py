@@ -28,7 +28,11 @@ from .verify import TOLERANCE, run_gradcheck
 
 
 def cmd_inspect(args):
-    dec = LkaConfig(args.C, args.K, args.d)
+    try:
+        dec = LkaConfig(args.C, args.K, args.d)
+    except ValueError as exc:  # each message starts with the field, which inspect sets by its flag
+        field, rest = str(exc).split(" ", 1)
+        raise ValueError(f"--{dict(channels='C', kernel='K', dilation='d')[field]} {rest}") from None
     k1d = eca_kernel_size(args.C)
     _, flops = count_params_flops(dec, (1, args.C, args.H, args.W))
     payload = {
@@ -155,6 +159,10 @@ def _configs_from_resolved(resolved):
 
 
 def cmd_train(args):
+    out_dir = Path(args.out)
+    for name in ("config.json", "log.jsonl", "checkpoint.lkar"):
+        if (out_dir / name).exists():
+            raise ValueError(f"{out_dir / name} already exists; each run goes to a fresh --out directory")
     resolved = resolve_train_config(args.config, args.set or ())
     if args.seed is not None:
         resolved["seed"] = args.seed
@@ -167,7 +175,6 @@ def cmd_train(args):
     pk_identities(data.identity_index(train_idx), train_cfg.identities_per_batch)
     # built before anything is written, so a model too large for memory writes nothing
     state = build_model(model_cfg, train_cfg.seed)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
     write_atomic(out_dir / "config.json", config_text.encode("utf-8"))

@@ -1,6 +1,9 @@
 """The four-branch re-ID network: shared stem, two large-kernel-attention
-branches, two hybrid-channel-attention branches, feature heads, and a
-self-describing binary checkpoint format.
+branches, two hybrid-channel-attention branches, feature heads, and the
+checkpoint format (version 2): a `_HEADER` of magic, version and config
+length, the UTF-8 JSON config snapshot, then every parameter's little-endian
+float32 values in `parameter_shapes(config)` order.  The config fixes every
+name and shape, so the file holds none.
 
 Branches L1/H1 carry identity classifiers (cross-entropy), L2/H2 feed the
 triplet loss.  At inference the four embeddings are concatenated in the
@@ -11,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 import uuid
@@ -41,7 +45,8 @@ _LKA_BRANCHES = ("l1", "l2")
 _CLS_BRANCHES = ("l1", "h1")
 
 _MAGIC = b"LKAR"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sHI")  # magic, version, config snapshot length
 
 
 class CheckpointError(ValueError):
@@ -68,8 +73,11 @@ class ModelConfig:
         if not self.stem_widths or any(wd < 1 for wd in self.stem_widths):
             raise ValueError(f"invalid stem widths {self.stem_widths}")
         object.__setattr__(self, "stem_widths", tuple(int(wd) for wd in self.stem_widths))
-        self.lka_config()  # validates the attention settings
-        self.hca_config()
+        for prefix, config in (("lka_", self.lka_config), ("hca_", self.hca_config)):
+            try:  # each message starts with the setting, which this config names with the prefix
+                config()
+            except ValueError as exc:
+                raise ValueError(f"{prefix}{exc}") from None
 
     @property
     def branch_channels(self):
@@ -339,10 +347,6 @@ def model_params_flops(cfg, input_shape):
 # checkpoint I/O
 
 
-def _config_to_json(cfg):
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-
-
 def _config_and_layout(raw):
     """The ModelConfig of a config snapshot and its parameter layout.  The
     snapshot must name every ModelConfig field and nothing else; any defect
@@ -365,35 +369,28 @@ def _config_and_layout(raw):
 
 
 def save_checkpoint(state, path):
-    """Self-describing binary format: magic, version, config snapshot, then
-    a named tensor table with little-endian float32 values."""
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<H", _VERSION)
-    cfg_bytes = _config_to_json(state.config).encode("utf-8")
-    blob += struct.pack("<I", len(cfg_bytes))
-    blob += cfg_bytes
-    blob += struct.pack("<I", len(state.params))
-    for name, tensor in state.params.items():
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<H", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<B", tensor.data.ndim)
-        for dim in tensor.data.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    write_atomic(path, blob)
+    """Write the header, the config snapshot, then every parameter's
+    little-endian float32 values in `parameter_shapes` order.  A state whose
+    parameter names or shapes differ from its config's layout is a
+    ValueError, raised before anything is written."""
+    layout = {name: tuple(shape) for name, shape, _ in parameter_shapes(state.config)}
+    held = {name: p.data.shape for name, p in state.params.items()}
+    if held != layout:
+        raise ValueError(f"parameters {sorted(held.items() ^ layout.items())} differ from the config's layout")
+    cfg_bytes = json.dumps(dataclasses.asdict(state.config), sort_keys=True).encode("utf-8")
+    values = (np.ascontiguousarray(state.params[name].data, dtype="<f4") for name in layout)
+    write_atomic(path, _HEADER.pack(_MAGIC, _VERSION, len(cfg_bytes)), cfg_bytes, *values)
 
 
-def write_atomic(path, data):
-    """Write bytes beside `path` and rename them over it, so a failed or
-    interrupted write leaves any previous file at `path` whole."""
+def write_atomic(path, *chunks):
+    """Write the bytes-like chunks beside `path` and rename them over it, so
+    a failed or interrupted write leaves any previous file at `path` whole."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -402,48 +399,26 @@ def write_atomic(path, data):
 
 
 def load_checkpoint(path):
+    """The saved ModelState; any defect in the file is a CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    if bytes(take(4, "magic")) != _MAGIC:
+    if blob[:4] != _MAGIC:
         raise CheckpointError("bad magic bytes, not a checkpoint file")
-    (version,) = struct.unpack("<H", take(2, "version"))
+    if len(blob) < _HEADER.size:
+        raise CheckpointError("truncated checkpoint header")
+    _, version, cfg_len = _HEADER.unpack_from(blob)
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg, expected = _config_and_layout(bytes(take(cfg_len, "config")))
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    if count != len(expected):
-        raise CheckpointError(f"checkpoint lists {count} tensors, config expects {len(expected)}")
-    params = {}
-    for exp_name, exp_shape, _ in expected:
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = bytes(take(name_len, "name")).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
-        (ndim,) = struct.unpack("<B", take(1, "ndim"))
-        shape = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(ndim))
-        if name != exp_name or shape != tuple(exp_shape):
-            raise CheckpointError(
-                f"tensor {name} with shape {shape} does not match config "
-                f"({exp_name}, {tuple(exp_shape)})"
-            )
-        n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(4 * n_items, name), dtype="<f4").reshape(shape)
+    start = _HEADER.size + cfg_len
+    cfg, layout = _config_and_layout(blob[_HEADER.size : start])
+    size = start + 4 * param_count(layout)
+    if len(blob) != size:
+        raise CheckpointError(f"checkpoint holds {len(blob)} bytes, its config fixes {size}")
+    params, pos = {}, start
+    for name, shape, _ in layout:
+        data = np.frombuffer(blob, "<f4", math.prod(shape), pos).reshape(shape)
+        pos += data.nbytes
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"tensor {name} has non-finite values")
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
-    if pos != len(blob):
-        raise CheckpointError("trailing bytes after tensor table")
     return ModelState(config=cfg, params=params)

@@ -7,8 +7,9 @@ run log.
 """
 import importlib.util
 import json
-import struct
 from pathlib import Path
+
+from lkareid.model import _HEADER
 
 VERDICTS = []
 
@@ -16,11 +17,12 @@ VERDICTS = []
 def rewrite_config_snapshot(path, edit):
     """Apply edit to the config snapshot dict of the checkpoint at path."""
     blob = path.read_bytes()
-    (cfg_len,) = struct.unpack("<I", blob[6:10])
-    snapshot = json.loads(blob[10 : 10 + cfg_len])
+    magic, version, cfg_len = _HEADER.unpack_from(blob)
+    end = _HEADER.size + cfg_len
+    snapshot = json.loads(blob[_HEADER.size : end])
     edit(snapshot)
     raw = json.dumps(snapshot).encode("utf-8")
-    path.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + cfg_len :])
+    path.write_bytes(_HEADER.pack(magic, version, len(raw)) + raw + blob[end:])
 
 
 def load_script(name):

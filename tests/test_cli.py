@@ -18,7 +18,7 @@ from lkareid import cli, verify
 from lkareid import tensor as T
 from lkareid.cli import main, resolve_train_config
 from lkareid.evaluation import ManifestError, load_manifest
-from lkareid.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from lkareid.model import _HEADER, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from lkareid.training import SyntheticDatasetSpec, TrainConfig
 
 from conftest import rewrite_config_snapshot
@@ -79,6 +79,17 @@ def test_inspect_invalid_kernel(capsys):
     code, _, err = run_cli(capsys, "inspect", "--K", "4", "--d", "1")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--C", "0", "--C must be >= 1, got 0"),
+    ("--K", "4", "--K must be odd and >= 1, got 4"),
+    ("--d", "30", "--d must be in [1, 21], got 30"),
+])
+def test_inspect_invalid_setting_error_names_flag(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "inspect", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,6 +311,43 @@ def test_train_one_pixel_image_error_names_image_size(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("hca_local_grid=0", "hca_local_grid must be >= 1, got 0"),
+    ("lka_kernel=4", "lka_kernel must be odd and >= 1, got 4"),
+    ("lka_dilation=9", "lka_dilation must be in [1, 7], got 9"),
+])
+def test_train_attention_setting_error_names_key(capsys, tmp_path, setting, message):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--out", str(out_dir), "--set", "steps=1", "--set", setting)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+_RUN_FILES = ("config.json", "log.jsonl", "checkpoint.lkar")
+
+
+def test_train_into_a_used_directory_exits_1_and_keeps_the_first_run(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    assert run_cli(capsys, *_fast_train_args(out_dir, "--seed", "1"))[0] == 0
+    first = {name: (out_dir / name).read_bytes() for name in _RUN_FILES}
+    code, out, err = run_cli(capsys, *_fast_train_args(out_dir, "--seed", "2", "--set", "feature_dim=16"))
+    assert code == 1 and out == ""
+    assert err == f"error: {out_dir / 'config.json'} already exists; each run goes to a fresh --out directory\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+
+@pytest.mark.parametrize("name", _RUN_FILES)
+def test_train_refuses_a_directory_holding_any_run_file(capsys, tmp_path, name):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / name).write_bytes(b"kept")
+    code, out, err = run_cli(capsys, *_fast_train_args(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: {out_dir / name} already exists; each run goes to a fresh --out directory\n"
+    assert [(p.name, p.read_bytes()) for p in out_dir.iterdir()] == [(name, b"kept")]
+
+
 # the default config.json, as measured before the defaults moved into the
 # config dataclasses
 DEFAULT_CONFIG_JSON = """{
@@ -493,16 +541,13 @@ def test_failed_report_write_keeps_previous_report(capsys, tmp_path, monkeypatch
     assert [p.name for p in out_dir.iterdir()] == ["report.json"]
 
 
-def test_failed_config_write_keeps_previous_config(capsys, tmp_path, monkeypatch):
+def test_failed_config_write_leaves_no_config(capsys, tmp_path, monkeypatch):
     out_dir = tmp_path / "run"
-    out_dir.mkdir()
-    (out_dir / "config.json").write_text("previous config\n")
     monkeypatch.setattr(os, "replace", _fail_replace)
     code, _, err = run_cli(capsys, *_fast_train_args(out_dir))
     assert code == 1
     assert "Invalid cross-device link" in err
-    assert (out_dir / "config.json").read_text() == "previous config\n"
-    assert [p.name for p in out_dir.iterdir()] == ["config.json"]
+    assert list(out_dir.iterdir()) == []
 
 
 def test_eval_deterministic_output(capsys, tmp_path):
@@ -819,6 +864,21 @@ def test_eval_checkpoint_with_bad_config_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "stem_widths" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_of_version_1_exits_1(capsys, tmp_path):
+    ckpt = tmp_path / "m.lkar"
+    save_checkpoint(_eval_model(), ckpt)
+    blob = ckpt.read_bytes()
+    magic, _, cfg_len = _HEADER.unpack_from(blob)
+    ckpt.write_bytes(_HEADER.pack(magic, 1, cfg_len) + blob[_HEADER.size :])
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"path": "a.npy", "vehicle_id": 0, "camera_id": 0}) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--query", str(manifest), "--gallery", str(manifest), "--checkpoint", str(ckpt),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: unsupported checkpoint version 1\n"
 
 
 def test_eval_skips_blank_manifest_lines(capsys, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lkareid.attention import count_params_flops
+from lkareid.attention import count_params_flops, param_count
 from lkareid.model import (
     CheckpointError,
     ModelConfig,
@@ -391,6 +391,47 @@ def test_checkpoint_non_finite_value(tmp_path, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cfg", [ModelConfig(num_identities=16), tiny_cfg(), tiny_cfg(attention_enabled=False)],
+                         ids=["desk", "tiny", "tiny_no_attention"])
+def test_checkpoint_is_header_config_and_values(tmp_path, cfg):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(cfg, 0), path)
+    blob = path.read_bytes()
+    magic, version, cfg_len = M._HEADER.unpack_from(blob)
+    assert (magic, version) == (b"LKAR", 2)
+    assert len(blob) == M._HEADER.size + cfg_len + 4 * param_count(parameter_shapes(cfg))
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(tiny_cfg(), 0), path)
+    blob = path.read_bytes()
+    magic, _, cfg_len = M._HEADER.unpack_from(blob)
+    path.write_bytes(M._HEADER.pack(magic, 1, cfg_len) + blob[M._HEADER.size :])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
+# each edit takes stem.0.weight off the layout the config fixes
+LAYOUT_EDITS = {
+    "renamed": lambda params: {("stem.0.kernel" if n == "stem.0.weight" else n): p for n, p in params.items()},
+    "reshaped": lambda params: {**params, "stem.0.weight": Tensor(params["stem.0.weight"].data.reshape(-1))},
+    "missing": lambda params: {n: p for n, p in params.items() if n != "stem.0.weight"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_EDITS))
+def test_save_of_a_state_off_its_config_layout_is_value_error(tmp_path, case):
+    path = tmp_path / "m.lkar"
+    save_checkpoint(build_model(tiny_cfg(), 0), path)
+    before = path.read_bytes()
+    state = build_model(tiny_cfg(), 1)
+    with pytest.raises(ValueError, match="stem.0.weight"):
+        save_checkpoint(ModelState(state.config, LAYOUT_EDITS[case](state.params)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lkar"]
+
+
 BAD_SNAPSHOTS = {
     "missing_key": lambda d: d.pop("stem_widths"),
     "unknown_key": lambda d: d.update(extra=1),
@@ -417,11 +458,11 @@ def test_checkpoint_bad_config_snapshot(tmp_path, case):
 
 @pytest.mark.parametrize("cfg,shape,count,cost,digest", [
     (ModelConfig(num_identities=16), (1, 3, 48, 48), 128, (590216, 41334912),
-     "43029c9caf5b8f2cbbf119988042d71c0c29af32c857edef55572cf05ce52ca4"),
+     "63cda88b62318b51c5dc0dff53b5049967d295c23299ab7a7086600b14188d01"),
     (tiny_cfg(), (1, 3, 8, 8), 52, (1280, 31976),
-     "5c4a86cfc920073769c08be02dd286f91f53876404bd32721f96bac3144e42b9"),
+     "760566bfdd68968aa3e9a6cbb953a64806ed9f8810d11a53975d23775df92e39"),
     (tiny_cfg(attention_enabled=False), (1, 3, 8, 8), 24, (984, 22848),
-     "a5586241ecb11b1a5669985b26dd2c1b712aa601ef8c3dcc4cd1c160dfad73e8"),
+     "aa1fa8db6fa5df67c520775dc4bca3872e1584d09b350c1744f94b0334b75758"),
 ], ids=["desk", "tiny", "tiny_no_attention"])
 def test_layout_golden(tmp_path, cfg, shape, count, cost, digest):
     path = tmp_path / "m.lkar"

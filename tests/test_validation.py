@@ -82,6 +82,9 @@ CASES = {
     "losses/triplet-labels": (lambda: batch_hard_triplet_loss(_ones(4, 2), np.array([0, 1])), "labels must be (B,)"),
     "model/feature-dim": (lambda: ModelConfig(4, feature_dim=0), "feature_dim must be >= 1, got 0"),
     "model/blocks-per-branch": (lambda: ModelConfig(4, blocks_per_branch=0), "blocks_per_branch must be >= 1, got 0"),
+    "model/lka-kernel": (lambda: ModelConfig(4, lka_kernel=4), "lka_kernel must be odd and >= 1, got 4"),
+    "model/lka-dilation": (lambda: ModelConfig(4, lka_dilation=9), "lka_dilation must be in [1, 7], got 9"),
+    "model/hca-local-grid": (lambda: ModelConfig(4, hca_local_grid=0), "hca_local_grid must be >= 1, got 0"),
     "model/images-one-channel": (
         lambda: extract_features(_tiny_state(), np.zeros((1, 1, 16, 16), np.float32)), "images must be (B, 3, H, W)",
     ),
